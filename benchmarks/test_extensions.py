@@ -154,24 +154,32 @@ def test_extension_diurnal_profiles(benchmark, paper_world):
 def test_extension_seed_robustness(benchmark):
     """The Table 1 effect across independent seeds: reproducibility of
     the headline causal finding is not a property of one lucky world."""
-    from repro.analysis.sensitivity import proportion_sweep
+    seeds = (101, 202, 303)
 
-    base = WorldConfig(
-        seed=0, n_dasu_users=1200, n_fcc_users=0, days_per_year=1.0
+    def sweep():
+        peaks = []
+        for seed in seeds:
+            world = build_world(
+                WorldConfig(
+                    seed=seed, n_dasu_users=1200, n_fcc_users=0,
+                    days_per_year=1.0,
+                ),
+                ground_truth=False,
+            )
+            peaks.append(table1(world.dasu.users).peak)
+        return peaks
+
+    peaks = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    fractions = np.array([peak.fraction_holds for peak in peaks])
+    emit(
+        "Extension: Table 1 across independent seeds",
+        [
+            f"  seed {seed}: {peak.fraction_holds:.3f} ({peak.n_pairs} pairs)"
+            for seed, peak in zip(seeds, peaks)
+        ],
     )
-
-    def stat(world):
-        result = table1(world.dasu.users)
-        return result.peak.fraction_holds, result.peak.n_pairs
-
-    sweep = benchmark.pedantic(
-        lambda: proportion_sweep(base, seeds=(101, 202, 303), statistic=stat),
-        rounds=1,
-        iterations=1,
-    )
-    emit("Extension: Table 1 across independent seeds", sweep.rows())
-    assert sweep.all_above(0.5)
-    assert sweep.mean > 0.55
+    assert np.all(fractions > 0.5)
+    assert fractions.mean() > 0.55
 
 
 def test_extension_upload_direction(benchmark, dasu_users):

@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.analysis.paper_report import full_report
-from repro.core.timing import StageTimer
+from repro.obs.ledger import RunLedger
 
 from conftest import emit
 
@@ -38,9 +38,9 @@ def test_parallel_report_speedup(paper_world):
         paper_world.survey,
     )
 
-    profiler = StageTimer()
+    ledger = RunLedger()
     start = time.perf_counter()
-    serial = full_report(dasu, fcc, survey, jobs=1, profiler=profiler)
+    serial = full_report(dasu, fcc, survey, jobs=1, ledger=ledger)
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -48,10 +48,11 @@ def test_parallel_report_speedup(paper_world):
     parallel_s = time.perf_counter() - start
 
     speedup = serial_s / parallel_s
-    slowest = max(profiler.timings, key=lambda t: t.wall_s)
+    timings = ledger.stage_timings(prefix="report/")
+    slowest = max(timings, key=lambda t: t.wall_s)
     emit(
         f"Parallel report ({len(dasu) + len(fcc)} users, "
-        f"{len(profiler.timings)} fragments)",
+        f"{len(timings)} fragments)",
         [
             f"serial:            {serial_s:6.2f} s",
             f"{_N_WORKERS} workers:         {parallel_s:6.2f} s",

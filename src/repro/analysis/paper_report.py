@@ -6,22 +6,22 @@ values alongside the measured ones. This is what the CLI's ``report``
 command and the benchmark summaries are built from.
 
 The report is assembled from independent **fragments** — one natural
-experiment, table, or binned-curve panel each — declared in
-:data:`_FRAGMENTS` and grouped into the paper's sections by
-:data:`_SECTIONS`. Because fragments share no state, they run through
-:func:`repro.core.executor.run_sharded` exactly like the world builder's
-shards: ``jobs=1`` executes them serially in-process, ``jobs=N`` fans
-them out over a process pool, and either way the fragments are rendered
-independently and reassembled in declaration order, so the report text
-is byte-identical for any worker count. Section-skip semantics are
-preserved: if any fragment of a section raises
-:class:`~repro.exceptions.AnalysisError`, the section collapses to
-``[section skipped: ...]`` citing the first failing fragment in section
-order, exactly as the serial single-pass implementation did.
+experiment, table, or binned-curve panel each — declared section by
+section in :data:`_SECTIONS`. :func:`render_fragment` renders one
+fragment and :func:`assemble_report` joins rendered fragments into the
+report text; both :func:`full_report` and the fragment-level DAG
+(:func:`repro.dag.pipelines.fragment_report_spec`) go through them.
 
-Each fragment is timed (wall and CPU, inside whichever process ran it);
-pass a :class:`~repro.core.timing.StageTimer` to collect the profile the
-CLI's ``--profile`` flag prints.
+:func:`full_report` fans the fragments out through
+:func:`repro.core.executor.run_sharded` exactly like the world builder's
+shards: ``jobs=1`` renders them serially in-process, ``jobs=N`` over a
+process pool, and either way the report text is byte-identical. If any
+fragment of a section raises :class:`~repro.exceptions.AnalysisError`,
+the section collapses to ``[section skipped: ...]`` citing the first
+failing fragment in section order.
+
+Each fragment runs under a ``report/<key>`` run-ledger span (see
+:mod:`repro.obs`); the CLI's ``--profile`` flag renders those spans.
 """
 
 from __future__ import annotations
@@ -30,25 +30,22 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.executor import run_sharded
-from ..core.timing import StageTimer, StageTiming, measure_stage
 from ..datasets.records import UserRecord
 from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
 from ..obs import ledger as obs
-from ..obs.ledger import RunLedger, Span
+from ..obs.ledger import RunLedger
 from . import capacity, characterization, iqb, longitudinal, price, quality, upgrade_cost
 from .price import Table4Result
 from .report import format_curve, format_experiment_row
 from .upgrade_cost import Table5Result
 
 __all__ = [
-    "FRAGMENT_INPUTS",
     "assemble_report",
     "fragment_inputs",
     "fragment_keys",
     "full_report",
     "render_fragment",
-    "section_reports",
 ]
 
 
@@ -269,84 +266,160 @@ def _fragment_iqb(dasu, fcc, survey) -> str:
     return iqb.format_iqb_report(dasu, fcc)
 
 
-#: Every fragment of the report, in declaration (= output) order.
-_FRAGMENTS: dict[str, Callable] = {
-    "fig1": _fragment_fig1,
-    "fig2": _fragment_fig2,
-    "fig3": _fragment_fig3,
-    "table1": _fragment_table1,
-    "fig4": _fragment_fig4,
-    "table2": _fragment_table2,
-    "fig6": _fragment_fig6,
-    "table3": _fragment_table3,
-    "table4": _fragment_table4,
-    "fig7": _fragment_fig7,
-    "fig10": _fragment_fig10,
-    "table5": _fragment_table5,
-    "table6_bt": _table6_fragment(include_bt=True),
-    "table6_nobt": _table6_fragment(include_bt=False),
-    "table7": _fragment_table7,
-    "fig11": _fragment_fig11,
-    "table8": _fragment_table8,
-    "fig12": _fragment_fig12,
-    "iqb": _fragment_iqb,
-}
+@dataclass(frozen=True)
+class _Fragment:
+    """One report fragment: its key, its renderer, and the world slices
+    it reads (``"dasu"``, ``"fcc"``, ``"survey"``)."""
 
-#: The world slices each fragment actually reads. Everything not listed
-#: uses the Dasu dataset alone — the map is what lets the fragment-level
-#: DAG (see :func:`repro.dag.pipelines.fragment_report_spec`) key each
-#: fragment on only the content hashes it depends on, so appending
-#: households recomputes the Dasu-driven fragments but leaves
-#: survey-only ones (fig10, table5) cached.
-FRAGMENT_INPUTS: dict[str, tuple[str, ...]] = {
-    "fig3": ("dasu", "fcc"),
-    "table4": ("dasu", "survey"),
-    "fig10": ("survey",),
-    "table5": ("survey",),
-    "iqb": ("dasu", "fcc"),
+    key: str
+    render: Callable
+    inputs: tuple[str, ...] = ("dasu",)
+
+
+#: The paper's sections, in output order: an optional static header plus
+#: the fragments whose blocks make up the section body. Each fragment's
+#: ``inputs`` let the fragment-level DAG (see
+#: :func:`repro.dag.pipelines.fragment_report_spec`) key it on only the
+#: content hashes it depends on, so appending households recomputes the
+#: Dasu-driven fragments but leaves survey-only ones (fig10, table5)
+#: cached.
+_SECTIONS: tuple[tuple[str | None, tuple[_Fragment, ...]], ...] = (
+    (None, (_Fragment("fig1", _fragment_fig1),)),
+    (
+        "Section 3 — impact of capacity",
+        (
+            _Fragment("fig2", _fragment_fig2),
+            _Fragment("fig3", _fragment_fig3, ("dasu", "fcc")),
+            _Fragment("table1", _fragment_table1),
+            _Fragment("fig4", _fragment_fig4),
+            _Fragment("table2", _fragment_table2),
+        ),
+    ),
+    (None, (_Fragment("fig6", _fragment_fig6),)),
+    (
+        "Section 5 — price of broadband access",
+        (
+            _Fragment("table3", _fragment_table3),
+            _Fragment("table4", _fragment_table4, ("dasu", "survey")),
+            _Fragment("fig7", _fragment_fig7),
+        ),
+    ),
+    (
+        "Section 6 — cost of increasing capacity",
+        (
+            _Fragment("fig10", _fragment_fig10, ("survey",)),
+            _Fragment("table5", _fragment_table5, ("survey",)),
+            _Fragment("table6_bt", _table6_fragment(include_bt=True)),
+            _Fragment("table6_nobt", _table6_fragment(include_bt=False)),
+        ),
+    ),
+    (
+        "Section 7 — connection quality",
+        (
+            _Fragment("table7", _fragment_table7),
+            _Fragment("fig11", _fragment_fig11),
+            _Fragment("table8", _fragment_table8),
+            _Fragment("fig12", _fragment_fig12),
+        ),
+    ),
+    (
+        "Extension — internet quality barometer",
+        (_Fragment("iqb", _fragment_iqb, ("dasu", "fcc")),),
+    ),
+)
+
+_FRAGMENTS: dict[str, _Fragment] = {
+    fragment.key: fragment
+    for _, fragments in _SECTIONS
+    for fragment in fragments
 }
 
 
 def fragment_inputs(key: str) -> tuple[str, ...]:
-    """The slice names fragment ``key`` reads (default: Dasu only)."""
-    return FRAGMENT_INPUTS.get(key, ("dasu",))
+    """The slice names fragment ``key`` reads."""
+    return _FRAGMENTS[key].inputs
 
 
 def fragment_keys() -> tuple[str, ...]:
-    """Every fragment key, in declaration (= output) order."""
+    """Every fragment key, in output order."""
     return tuple(_FRAGMENTS)
 
 
-#: The paper's sections: an optional static header plus the ordered
-#: fragment keys whose blocks make up the section body.
-_SECTIONS: tuple[tuple[str | None, tuple[str, ...]], ...] = (
-    (None, ("fig1",)),
-    ("Section 3 — impact of capacity", ("fig2", "fig3", "table1", "fig4", "table2")),
-    (None, ("fig6",)),
-    ("Section 5 — price of broadband access", ("table3", "table4", "fig7")),
-    (
-        "Section 6 — cost of increasing capacity",
-        ("fig10", "table5", "table6_bt", "table6_nobt"),
-    ),
-    ("Section 7 — connection quality", ("table7", "fig11", "table8", "fig12")),
-    ("Extension — internet quality barometer", ("iqb",)),
-)
+def render_fragment(
+    key: str,
+    dasu: Sequence[UserRecord] = (),
+    fcc: Sequence[UserRecord] | None = None,
+    survey: PlanSurvey | None = None,
+) -> tuple[str | None, str | None]:
+    """Render one fragment as ``(text, error)``.
+
+    An :class:`~repro.exceptions.AnalysisError` becomes the ``error``
+    message its section is skipped with; ``None`` text means the
+    fragment's optional dataset is absent. Rendering records no timing,
+    so a DAG fragment stage's artifact holds no wall-clock state and an
+    unchanged input hashes to an unchanged output.
+    """
+    render = _FRAGMENTS[key].render
+    try:
+        return render(dasu, fcc, survey), None
+    except AnalysisError as exc:
+        return None, str(exc)
 
 
-@dataclass(frozen=True)
-class _FragmentOutput:
-    """One fragment's rendered block (or failure) plus its timing."""
+def _assemble_section(
+    header: str | None, rendered: Sequence[tuple[str | None, str | None]]
+) -> str:
+    """Join fragment blocks under the section header.
 
-    key: str
-    text: str | None
-    error: str | None
-    #: ``None`` when the fragment was rendered outside a timed pass
-    #: (:func:`assemble_report` over DAG-produced fragments).
-    timing: StageTiming | None
+    The first failed fragment (in section order) skips the whole
+    section; fragments that rendered nothing (``None`` for an absent
+    dataset, ``""`` for a table with zero rows) add no line.
+    """
+    for _, error in rendered:
+        if error is not None:
+            return f"[section skipped: {error}]"
+    lines = [] if header is None else [header]
+    lines.extend(text for text, _ in rendered if text)
+    return "\n".join(lines)
 
-    @property
-    def failed(self) -> bool:
-        return self.error is not None
+
+def assemble_report(
+    fragments: dict[str, tuple[str | None, str | None]],
+    *,
+    n_dasu: int,
+    n_fcc: int = 0,
+    n_plans: int | None = None,
+) -> str:
+    """Assemble the full report text from pre-rendered fragments.
+
+    ``fragments`` maps every fragment key to its ``(text, error)`` pair
+    (:func:`render_fragment`'s return). This is the only assembler:
+    :func:`full_report` and the fragment-level DAG both end here, so a
+    served report is indistinguishable from a cold in-process render.
+    """
+    if n_dasu == 0:
+        raise AnalysisError("a report needs at least the Dasu dataset")
+    missing = set(_FRAGMENTS) - set(fragments)
+    if missing:
+        raise AnalysisError(
+            f"missing fragments: {', '.join(sorted(missing))}"
+        )
+    header = (
+        "Reproduction report — Bischof, Bustamante & Stanojevic, "
+        "IMC 2014\n"
+        f"datasets: {n_dasu} Dasu users"
+        + (f", {n_fcc} FCC users" if n_fcc else "")
+        + (f", {n_plans} plans" if n_plans is not None else "")
+    )
+    blocks = [header]
+    for section_header, section in _SECTIONS:
+        blocks.append("=" * 72)
+        blocks.append(
+            _assemble_section(
+                section_header, [fragments[f.key] for f in section]
+            )
+        )
+    return "\n".join(blocks)
 
 
 # Worker-process context: the datasets are shipped once per worker via the
@@ -361,166 +434,16 @@ def _init_fragment_worker(dasu, fcc, survey) -> None:
     _CTX = (dasu, fcc, survey)
 
 
-def _run_fragment(key: str) -> _FragmentOutput:
+def _run_fragment(key: str) -> tuple[str | None, str | None]:
     assert _CTX is not None, "fragment worker used before initialization"
-    dasu, fcc, survey = _CTX
-    build = _FRAGMENTS[key]
-
-    def build_safe() -> tuple[str | None, str | None]:
-        try:
-            return build(dasu, fcc, survey), None
-        except AnalysisError as exc:
-            return None, str(exc)
-
-    (text, error), timing = measure_stage(key, build_safe)
-    # Ledger accounting (no-op outside a traced run). The span carries
-    # the same duration as the profile timing, so ``--profile`` is a
-    # view over the ledger rather than a second clock.
-    ledger = obs.current()
-    if ledger is not None:
-        ledger.add_span(
-            Span(
-                name=f"report/{key}",
-                wall_s=timing.wall_s,
-                cpu_s=timing.cpu_s,
-            )
-        )
+    with obs.span(f"report/{key}"):
+        text, error = render_fragment(key, *_CTX)
     obs.count("report.fragments.run")
     if error is not None:
         obs.count("report.fragments.failed")
     elif not text:
         obs.count("report.fragments.empty")
-    return _FragmentOutput(key=key, text=text, error=error, timing=timing)
-
-
-def _assemble_section(
-    header: str | None, outputs: Sequence[_FragmentOutput]
-) -> str:
-    """Join fragment blocks under the section header.
-
-    The first failed fragment (in section order) skips the whole
-    section, mirroring the serial implementation where an
-    AnalysisError aborted the section at that point.
-    """
-    for out in outputs:
-        if out.failed:
-            return f"[section skipped: {out.error}]"
-    lines = [] if header is None else [header]
-    for out in outputs:
-        # None (dataset absent) and "" (a table with zero rows) both
-        # rendered nothing in the serial single-pass implementation.
-        if out.text:
-            lines.append(out.text)
-    return "\n".join(lines)
-
-
-def render_fragment(
-    key: str,
-    dasu: Sequence[UserRecord] = (),
-    fcc: Sequence[UserRecord] | None = None,
-    survey: PlanSurvey | None = None,
-) -> tuple[str | None, str | None]:
-    """Render one fragment without timing or ledger accounting.
-
-    Returns ``(text, error)`` — exactly the failure semantics of the
-    in-process path (:class:`~repro.exceptions.AnalysisError` becomes a
-    section-skip message; ``None`` text means the fragment's optional
-    dataset is absent). This is the entry point for DAG fragment stages,
-    whose artifacts must contain no wall-clock state so an unchanged
-    input hashes to an unchanged output.
-    """
-    build = _FRAGMENTS[key]
-    try:
-        return build(dasu, fcc, survey), None
-    except AnalysisError as exc:
-        return None, str(exc)
-
-
-def assemble_report(
-    fragments: dict[str, tuple[str | None, str | None]],
-    *,
-    n_dasu: int,
-    n_fcc: int = 0,
-    n_plans: int | None = None,
-) -> str:
-    """Assemble the full report text from pre-rendered fragments.
-
-    ``fragments`` maps every fragment key to its ``(text, error)`` pair
-    (:func:`render_fragment`'s return). The output is byte-identical to
-    :func:`full_report` over the same datasets — same header, same
-    dividers, same section-skip semantics — which is what lets the
-    fragment-level DAG serve a report indistinguishable from a cold
-    in-process render.
-    """
-    if n_dasu == 0:
-        raise AnalysisError("a report needs at least the Dasu dataset")
-    outputs = {
-        key: _FragmentOutput(key=key, text=text, error=error, timing=None)
-        for key, (text, error) in fragments.items()
-    }
-    missing = set(_FRAGMENTS) - set(outputs)
-    if missing:
-        raise AnalysisError(
-            f"missing fragments: {', '.join(sorted(missing))}"
-        )
-    header = (
-        "Reproduction report — Bischof, Bustamante & Stanojevic, "
-        "IMC 2014\n"
-        f"datasets: {n_dasu} Dasu users"
-        + (f", {n_fcc} FCC users" if n_fcc else "")
-        + (f", {n_plans} plans" if n_plans is not None else "")
-    )
-    divider = "=" * 72
-    blocks = [header]
-    for section_header, section_keys in _SECTIONS:
-        blocks.append(divider)
-        blocks.append(
-            _assemble_section(
-                section_header, [outputs[k] for k in section_keys]
-            )
-        )
-    return "\n".join(blocks)
-
-
-def section_reports(
-    dasu: Sequence[UserRecord],
-    fcc: Sequence[UserRecord] | None = None,
-    survey: PlanSurvey | None = None,
-    *,
-    jobs: int | None = 1,
-    profiler: StageTimer | None = None,
-    ledger: RunLedger | None = None,
-) -> list[str]:
-    """One rendered block per paper section; sections whose data are
-    insufficient (e.g. no Indian users) are reported as skipped rather
-    than aborting the whole report.
-
-    ``jobs`` fans the fragments out over a process pool (``None`` = one
-    worker per CPU); the rendered text is byte-identical for any value.
-    ``profiler`` collects one :class:`StageTiming` per fragment, in
-    report order. ``ledger`` accumulates the analysis stage's run-ledger
-    events (``report/<key>`` spans, experiment and matching counters),
-    merged in fragment-declaration order for any worker count.
-    """
-    if not dasu:
-        raise AnalysisError("a report needs at least the Dasu dataset")
-    keys = [key for _, section_keys in _SECTIONS for key in section_keys]
-    outputs = run_sharded(
-        _run_fragment,
-        keys,
-        jobs=jobs,
-        initializer=_init_fragment_worker,
-        initargs=(dasu, fcc, survey),
-        ledger=ledger,
-    )
-    by_key = {out.key: out for out in outputs}
-    if profiler is not None:
-        for out in outputs:
-            profiler.add(out.timing)
-    return [
-        _assemble_section(header, [by_key[k] for k in section_keys])
-        for header, section_keys in _SECTIONS
-    ]
+    return text, error
 
 
 def full_report(
@@ -529,26 +452,32 @@ def full_report(
     survey: PlanSurvey | None = None,
     *,
     jobs: int | None = 1,
-    profiler: StageTimer | None = None,
     ledger: RunLedger | None = None,
 ) -> str:
     """The complete paper-vs-measured report as one string.
 
-    See :func:`section_reports` for the ``jobs``/``profiler``/``ledger``
-    contract; the report text is byte-identical for any worker count.
+    Sections whose data are insufficient (e.g. no Indian users) are
+    reported as skipped rather than aborting the whole report. ``jobs``
+    fans the fragments out over a process pool (``None`` = one worker
+    per CPU); the text is byte-identical for any value. ``ledger``
+    accumulates the analysis stage's run-ledger events (``report/<key>``
+    spans, experiment and matching counters), merged in fragment order
+    for any worker count.
     """
-    header = (
-        "Reproduction report — Bischof, Bustamante & Stanojevic, "
-        "IMC 2014\n"
-        f"datasets: {len(dasu)} Dasu users"
-        + (f", {len(fcc)} FCC users" if fcc else "")
-        + (f", {survey.n_plans} plans" if survey is not None else "")
+    if not dasu:
+        raise AnalysisError("a report needs at least the Dasu dataset")
+    keys = fragment_keys()
+    rendered = run_sharded(
+        _run_fragment,
+        keys,
+        jobs=jobs,
+        initializer=_init_fragment_worker,
+        initargs=(dasu, fcc, survey),
+        ledger=ledger,
     )
-    divider = "=" * 72
-    blocks = [header]
-    for section in section_reports(
-        dasu, fcc, survey, jobs=jobs, profiler=profiler, ledger=ledger
-    ):
-        blocks.append(divider)
-        blocks.append(section)
-    return "\n".join(blocks)
+    return assemble_report(
+        dict(zip(keys, rendered)),
+        n_dasu=len(dasu),
+        n_fcc=len(fcc) if fcc else 0,
+        n_plans=None if survey is None else survey.n_plans,
+    )

@@ -89,11 +89,10 @@ from typing import Sequence
 from .analysis import capacity, characterization, longitudinal, price, quality, upgrade_cost
 from .analysis.report import format_experiment_row
 from .core.executor import resolve_jobs
-from .core.timing import format_profile
 from .datasets import WorldConfig, build_world
 from .datasets.cache import WorldCache, cache_key
 from .faults import FAULT_PROFILES, fault_profile
-from .obs.ledger import RunLedger
+from .obs.ledger import RunLedger, format_profile
 from .obs.manifest import run_manifest, write_manifest
 from .datasets.io import (
     read_survey_csv,
@@ -108,7 +107,7 @@ from .exceptions import DatasetError, ReproError
 
 __all__ = ["main"]
 
-#: Experiments runnable via ``analyze``; each maps to (needs_survey, runner).
+#: Experiments runnable via ``analyze`` (see :func:`_run_experiment`).
 EXPERIMENTS = (
     "fig1", "fig2", "fig4", "fig6", "fig7", "fig10", "fig11", "fig12",
     "table1", "table2", "table3", "table5", "table6", "table7", "table8",
@@ -370,11 +369,9 @@ def _analyze(args: argparse.Namespace) -> int:
 
 def _report(args: argparse.Namespace) -> int:
     # The report pipeline runs as a two-stage experiment DAG (build or
-    # load the data, then render). Artifacts, stdout, and the --trace
-    # ledger are byte-identical to the pre-DAG direct path: the build
-    # stage prints the same cache-hit/build messages and folds the
-    # build's events into the run ledger exactly as this function used
-    # to do inline.
+    # load the data, then render). The build stage prints the
+    # cache-hit/build messages and folds the build's events into the
+    # run ledger.
     from .dag import InProcessBackend, RunContext, report_spec, run_dag
 
     jobs = resolve_jobs(args.jobs)

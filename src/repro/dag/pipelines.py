@@ -279,9 +279,14 @@ def _world_slice_fingerprint(slice_: WorldSlice) -> str:
 
 
 def _report_fragment_kind(config: dict, inputs: dict, ctx) -> dict:
-    from ..analysis.paper_report import render_fragment
+    from ..analysis.paper_report import fragment_keys, render_fragment
 
-    key = str(config["fragment"])
+    key = config.get("fragment")
+    if key not in fragment_keys():
+        raise DagError(
+            f"unknown report fragment {key!r} (expected one of: "
+            f"{', '.join(fragment_keys())})"
+        )
     slices: dict[str, Any] = {}
     for value in inputs.values():
         if not isinstance(value, WorldSlice):
@@ -435,7 +440,7 @@ def fragment_report_spec(
 
     ``world-source`` (build or cache-load) fans into three ``world-slice``
     stages (dasu, fcc, survey), each fragment depends on exactly the
-    slices it reads (:data:`repro.analysis.paper_report.FRAGMENT_INPUTS`),
+    slices it reads (:func:`repro.analysis.paper_report.fragment_inputs`),
     and ``report-assemble`` folds every fragment into a ``report.txt``
     byte-identical to :func:`repro.analysis.paper_report.full_report`.
 
@@ -501,8 +506,7 @@ def sweep_spec(
     """The ``repro sweep`` fan-out as a DAG: one stage per cell.
 
     Cells are independent, so they form one wave and fan across the
-    backend exactly as the pre-DAG engine fanned them through
-    ``run_sharded`` — scenario-major, seed-minor, the order the report
+    backend in scenario-major, seed-minor order, the order the report
     lists them in. ``with_report`` appends the ``sweep-report`` stage
     that folds every cell into the stability report (``repro sweep``
     formats in-process instead and omits it).

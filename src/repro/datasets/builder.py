@@ -809,9 +809,8 @@ def build_world(
             ledger=ledger,
         )
 
-    # Concatenate column chunks in spec (submission) order — exactly the
-    # append order of the old object path, so the world is byte-for-byte
-    # the same for every jobs/chunk_size value.
+    # Concatenate column chunks in spec (submission) order, so the world
+    # is byte-for-byte the same for every jobs/chunk_size value.
     dasu_parts: list[np.ndarray] = []
     fcc_parts: list[np.ndarray] = []
     latents: dict[str, LatentUser] = {}

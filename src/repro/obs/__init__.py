@@ -7,13 +7,23 @@ the parent — see :func:`repro.core.executor.run_sharded`);
 ``repro build/report --trace`` serializes both.
 """
 
-from .ledger import RunLedger, Span, count, current, gauge, scoped, span
+from .ledger import (
+    RunLedger,
+    Span,
+    count,
+    current,
+    format_profile,
+    gauge,
+    scoped,
+    span,
+)
 
 __all__ = [
     "RunLedger",
     "Span",
     "count",
     "current",
+    "format_profile",
     "gauge",
     "scoped",
     "span",

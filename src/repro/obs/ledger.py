@@ -10,11 +10,11 @@ kinds:
 * **gauges** — point-in-time values set once per run (dataset sizes,
   pool sizes). Merging takes the union; conflicting values for the same
   key raise, which keeps merges order-independent.
-* **spans** — named wall/CPU durations, the generalization of
-  :class:`repro.core.timing.StageTiming` to the whole pipeline. Spans
-  nest by path-like names (``"build/chunk/dasu/US/0"``) and may carry a
-  shard label. Merging concatenates; serialization applies a canonical
-  sort, so merged ledgers are independent of completion order.
+* **spans** — named wall/CPU durations, the pipeline's only timing
+  record. Spans nest by path-like names (``"build/chunk/dasu/US/0"``)
+  and may carry a shard label. Merging concatenates; serialization
+  applies a canonical sort, so merged ledgers are independent of
+  completion order.
 
 Workers record into a per-process *ambient* ledger installed by
 :func:`scoped` (see :func:`repro.core.executor.run_sharded`); the parent
@@ -26,25 +26,28 @@ payload, are excluded from the stream unless ``include_timings`` is
 explicitly requested.
 
 The JSONL stream is the ``repro build/report --trace`` artifact; its
-counter names are documented in ``docs/METHODOLOGY.md`` §8.
+counter names are documented in ``docs/METHODOLOGY.md`` §8. The
+``repro report --profile`` table is :func:`format_profile` over
+:meth:`RunLedger.stage_timings`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from ..exceptions import LedgerError
-from ..core.timing import StageTiming
 
 __all__ = [
     "RunLedger",
     "Span",
     "count",
     "current",
+    "format_profile",
     "gauge",
     "scoped",
     "span",
@@ -142,8 +145,8 @@ class RunLedger:
 
     # -- views ---------------------------------------------------------------
 
-    def stage_timings(self, prefix: str | None = None) -> list[StageTiming]:
-        """Spans as :class:`StageTiming` rows (the ``--profile`` view).
+    def stage_timings(self, prefix: str | None = None) -> list[Span]:
+        """Spans in canonical order (the ``--profile`` view).
 
         ``prefix`` filters to spans under that path and strips it from
         the reported names, so ``stage_timings("report/")`` yields the
@@ -151,12 +154,11 @@ class RunLedger:
         """
         rows = []
         for s in sorted(self.spans, key=_canonical_span_key):
-            name = s.name
             if prefix is not None:
-                if not name.startswith(prefix):
+                if not s.name.startswith(prefix):
                     continue
-                name = name[len(prefix):]
-            rows.append(StageTiming(name=name, wall_s=s.wall_s, cpu_s=s.cpu_s))
+                s = dataclasses.replace(s, name=s.name[len(prefix):])
+            rows.append(s)
         return rows
 
     # -- serialization -------------------------------------------------------
@@ -226,6 +228,31 @@ class RunLedger:
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise LedgerError(f"bad ledger line {line_no}: {exc}") from None
         return ledger
+
+
+def format_profile(spans: Sequence[Span], title: str = "analysis profile") -> str:
+    """Render spans as an aligned table, one row per span.
+
+    One row per span — ``name  wall(s)  cpu(s)`` — followed by a total
+    row summing both columns. Rows are sorted by *name*, never by
+    duration: durations vary run to run and (under a process pool) with
+    scheduling, so a duration sort would shuffle the table across
+    ``--jobs`` values. With the timing columns masked, profiles of the
+    same run are byte-identical for any worker count. Span durations
+    are measured inside the process that ran the work, so under
+    ``--jobs N`` the total can exceed the elapsed time (it is the
+    amount of work done, not the time you waited).
+    """
+    lines = [title]
+    width = max([len(s.name) for s in spans], default=4)
+    for s in sorted(spans, key=lambda s: (s.name, s.wall_s, s.cpu_s)):
+        lines.append(f"  {s.name:<{width}}  wall {s.wall_s:8.3f} s  cpu {s.cpu_s:8.3f} s")
+    total_wall = sum(s.wall_s for s in spans)
+    total_cpu = sum(s.cpu_s for s in spans)
+    lines.append(
+        f"  {'total':<{width}}  wall {total_wall:8.3f} s  cpu {total_cpu:8.3f} s"
+    )
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ cross-scenario **verdict-stability report** — for each experiment row,
 the share of cells where the paper's verdict holds, with Wilson
 intervals and per-cell headline statistics.
 
-Exposed through the CLI as ``repro sweep``; the legacy
-``analysis/sensitivity.py`` helpers are thin adapters over this engine.
+Exposed through the CLI as ``repro sweep``.
 """
 
-from .engine import CellResult, SweepResult, run_sweep, sweep_worlds
+from .engine import CellResult, SweepResult, run_sweep
 from .grid import Scenario, ScenarioGrid
 from .report import (
     StabilityRow,
@@ -39,5 +38,4 @@ __all__ = [
     "run_sweep",
     "stability_matrix",
     "sweep_payload",
-    "sweep_worlds",
 ]

@@ -18,10 +18,6 @@ Three properties carry over from the rest of the pipeline:
 * **hit/miss equivalence** — a cell's results, and its contribution to
   the merged run ledger, are identical whether its world was built
   fresh or loaded from the cache (the cache stores each build's trace).
-
-:func:`sweep_worlds` exposes the same machinery at the world level for
-callers that run their own statistics (``analysis/sensitivity.py`` is a
-thin adapter over it).
 """
 
 from __future__ import annotations
@@ -32,15 +28,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.executor import run_sharded
 from ..datasets.cache import WorldCache, build_or_load_world
 from ..datasets.world import World, WorldConfig
 from ..exceptions import AnalysisError, SweepError
 from ..obs.ledger import RunLedger, count, current, span
-from .grid import Scenario, ScenarioGrid
+from .grid import ScenarioGrid
 from .runners import SWEEP_EXPERIMENTS, VerdictRow, run_experiment
 
-__all__ = ["CellResult", "SweepResult", "run_sweep", "sweep_worlds"]
+__all__ = ["CellResult", "SweepResult", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -256,10 +251,10 @@ def run_sweep(
     chosen_seeds = _resolve_seeds(grid, seeds)
     root = None if cache_root is None else str(cache_root)
     # The fan-out rides the experiment-DAG scheduler: one sweep-cell
-    # stage per (scenario, seed), declared in scenario-major order so
-    # execution and ledger-merge order match the pre-DAG engine exactly.
-    # The pool backend shards through run_sharded as before, so results
-    # and the merged ledger stay byte-identical for any worker count.
+    # stage per (scenario, seed), declared in scenario-major order, which
+    # fixes execution and ledger-merge order. The pool backend shards
+    # through run_sharded, so results and the merged ledger stay
+    # byte-identical for any worker count.
     # Lazy import: repro.dag's pipeline kinds call back into this module.
     from ..dag import ProcessPoolBackend, RunContext, run_dag, sweep_spec
 
@@ -283,48 +278,3 @@ def run_sweep(
         cells=results,
         n_cache_hits=hits,
     )
-
-
-@dataclass(frozen=True)
-class _WorldTask:
-    """One world to materialize (the world-level sweep primitive)."""
-
-    config: WorldConfig
-    cache_root: str | None
-    use_cache: bool
-
-
-def _world_worker(task: _WorldTask) -> World:
-    world, _ = _cell_world(task.config, task.cache_root, task.use_cache)
-    return world
-
-
-def sweep_worlds(
-    base_config: WorldConfig,
-    seeds: Sequence[int],
-    *,
-    jobs: int | None = 1,
-    cache_root: str | Path | None = None,
-    use_cache: bool = True,
-    ledger: RunLedger | None = None,
-) -> list[World]:
-    """One world per seed (``base_config`` with the seed replaced), in
-    seed order, built through the shared world cache.
-
-    This is the world-level sweep primitive behind
-    :func:`repro.analysis.sensitivity.seed_sweep`: callers apply their
-    own statistics to the returned worlds.
-    """
-    if not seeds:
-        raise SweepError("a sweep needs at least one seed")
-    scenario = Scenario(name="baseline")
-    root = None if cache_root is None else str(cache_root)
-    tasks = [
-        _WorldTask(
-            config=scenario.apply(base_config, int(seed)),
-            cache_root=root,
-            use_cache=use_cache,
-        )
-        for seed in seeds
-    ]
-    return run_sharded(_world_worker, tasks, jobs=jobs, ledger=ledger)

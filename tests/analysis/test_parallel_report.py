@@ -9,10 +9,9 @@ import re
 
 import pytest
 
-from repro.analysis.paper_report import full_report, section_reports
-from repro.core.timing import StageTimer, format_profile
+from repro.analysis.paper_report import fragment_keys, full_report
 from repro.exceptions import ReproError
-from repro.obs.ledger import RunLedger
+from repro.obs.ledger import RunLedger, format_profile
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +40,10 @@ class TestParallelEquivalence:
         # A US-only subset cannot run the India analyses; the skip
         # marker (and its message) must not depend on the worker count.
         us_only = [u for u in small_world.dasu.users if u.country == "US"]
-        serial = section_reports(us_only)
-        parallel = section_reports(us_only, jobs=2)
+        serial = full_report(us_only)
+        parallel = full_report(us_only, jobs=2)
         assert parallel == serial
-        assert any("skipped" in s for s in serial)
+        assert "[section skipped: " in serial
 
     def test_invalid_jobs_rejected(self, small_world):
         with pytest.raises(ReproError):
@@ -53,25 +52,25 @@ class TestParallelEquivalence:
 
 class TestProfiler:
     def test_profiler_collects_every_fragment(self, small_world):
-        profiler = StageTimer()
+        ledger = RunLedger()
         full_report(
             small_world.dasu.users,
             small_world.fcc.users,
             small_world.survey,
-            profiler=profiler,
+            ledger=ledger,
         )
-        names = [t.name for t in profiler.timings]
+        timings = ledger.stage_timings(prefix="report/")
+        names = [t.name for t in timings]
         assert len(names) == len(set(names))
-        for key in ("fig1", "table1", "fig6", "table7", "fig12"):
-            assert key in names
-        assert all(t.wall_s >= 0.0 for t in profiler.timings)
+        assert set(names) == set(fragment_keys())
+        assert all(t.wall_s >= 0.0 for t in timings)
 
     def test_parallel_profile_covers_same_fragments(self, small_world):
-        serial, parallel = StageTimer(), StageTimer()
-        full_report(small_world.dasu.users, profiler=serial)
-        full_report(small_world.dasu.users, profiler=parallel, jobs=2)
-        assert [t.name for t in serial.timings] == [
-            t.name for t in parallel.timings
+        serial, parallel = RunLedger(), RunLedger()
+        full_report(small_world.dasu.users, ledger=serial)
+        full_report(small_world.dasu.users, ledger=parallel, jobs=2)
+        assert [t.name for t in serial.stage_timings(prefix="report/")] == [
+            t.name for t in parallel.stage_timings(prefix="report/")
         ]
 
 

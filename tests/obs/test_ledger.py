@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import LedgerError
-from repro.obs.ledger import RunLedger, Span, count, current, gauge, scoped, span
+from repro.obs.ledger import (
+    RunLedger,
+    Span,
+    count,
+    current,
+    format_profile,
+    gauge,
+    scoped,
+    span,
+)
 
 
 class TestRecording:
@@ -187,7 +196,7 @@ class TestSerialization:
         ledger.add_span(Span("report/fig1", 1.0, 0.5))
         ledger.add_span(Span("build/chunk/x", 9.0, 9.0))
         rows = ledger.stage_timings(prefix="report/")
-        assert [(t.name, t.wall_s) for t in rows] == [("fig1", 1.0)]
+        assert rows == [Span("fig1", 1.0, 0.5)]
 
 
 class TestAmbient:
@@ -224,3 +233,33 @@ class TestAmbient:
             assert installed is ledger
             count("z")
         assert ledger.counters == {"z": 1}
+
+
+class TestFormatProfile:
+    def test_sorted_by_name_with_total(self):
+        # Name order, not duration order: durations vary run to run, so
+        # a duration sort would shuffle rows across --jobs values.
+        text = format_profile([Span("slow", 2.0, 1.5), Span("fast", 0.1, 0.1)])
+        lines = text.splitlines()
+        assert lines[0] == "analysis profile"
+        assert "fast" in lines[1]
+        assert "slow" in lines[2]
+        assert "total" in lines[-1]
+        assert "2.100" in lines[-1]  # summed wall seconds
+
+    def test_row_order_independent_of_durations(self):
+        # The same stages with permuted durations yield rows in the
+        # same order — the byte-stability contract behind jobs=1 vs
+        # jobs=N profile comparisons (with timing columns masked).
+        a = format_profile([Span("x", 5.0, 4.0), Span("y", 0.1, 0.1)])
+        b = format_profile([Span("x", 0.1, 0.1), Span("y", 5.0, 4.0)])
+        names_a = [line.split()[0] for line in a.splitlines()[1:]]
+        names_b = [line.split()[0] for line in b.splitlines()[1:]]
+        assert names_a == names_b == ["x", "y", "total"]
+
+    def test_custom_title(self):
+        text = format_profile([Span("s", 0.0, 0.0)], title="report stages")
+        assert text.splitlines()[0] == "report stages"
+
+    def test_empty_profile_still_renders_total(self):
+        assert "total" in format_profile([])

@@ -462,3 +462,25 @@ class TestIqb:
         rc = main(["iqb", "--data", str(data_dir), "--trace"])
         assert rc == 2
         assert "--out" in capsys.readouterr().err
+
+
+class TestDagRun:
+    def test_unknown_fragment_fails_cleanly(self, tmp_path, capsys):
+        import json
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "name": "bad-fragment",
+            "stages": [{
+                "name": "fragment/nope",
+                "kind": "report-fragment",
+                "config": {"fragment": "nope"},
+            }],
+        }))
+        rc = main(["dag", "run", "--spec", str(spec),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "'nope'" in err
+        assert "fig1" in err and "iqb" in err
