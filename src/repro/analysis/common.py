@@ -7,13 +7,22 @@ Implements the two recurring constructs of the paper's evaluation:
 * the **matched natural experiment** — nearest-neighbor matching of
   control and treatment users on confounders, followed by the sign test
   (the machinery behind Tables 2, 3, 6, 7 and 8).
+
+Each construct has one implementation, over float columns. The record
+entry points are adapters: the record branch of
+:func:`binned_demand_curve` reads one capacity and one demand array and
+runs the columnar per-bin loop; :func:`matched_experiment` filters
+records for eligibility, then matches through
+:func:`~repro.core.matching.match_pairs` (itself an adapter over
+``match_pairs_arrays``) and shares its sign test and run-ledger
+accounting with :func:`matched_experiment_columns`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -87,7 +96,7 @@ CONFOUNDER_EXTRACTORS: dict[str, Callable[[UserRecord], float]] = {
 def demand_outcome_array(
     metric: str, include_bt: bool
 ) -> Callable[[UserColumns], np.ndarray]:
-    """Columnar twin of :func:`demand_outcome`: one value per user."""
+    """Column form of :func:`demand_outcome`: one value per user."""
     if metric not in ("mean", "peak"):
         raise AnalysisError(f"unknown demand metric {metric!r}")
 
@@ -97,7 +106,7 @@ def demand_outcome_array(
     return outcome
 
 
-#: Columnar twins of :data:`CONFOUNDER_EXTRACTORS`: one array per pool,
+#: Column forms of :data:`CONFOUNDER_EXTRACTORS`: one array per pool,
 #: value-identical element-wise (missing market covariates are stored as
 #: NaN in the columns, exactly what ``_market_value`` produces).
 CONFOUNDER_COLUMNS: dict[str, Callable[[UserColumns], np.ndarray]] = {
@@ -175,19 +184,34 @@ def matched_experiment(
         standard_confounders(confounders),
         caliper=caliper,
     )
-    experiment = NaturalExperiment(name=name, hypothesis=hypothesis)
-    result = experiment.evaluate(
-        PairedOutcome(outcome(pair.control), outcome(pair.treatment))
-        for pair in matching.pairs
-    )
-    # Run-ledger accounting (no-op outside a traced run): eligibility
-    # attrition, matched pairs, and the paper's overall verdict tally.
-    obs.count("experiments.run")
-    obs.count(
-        "experiments.users_excluded",
-        (len(control) - len(eligible_control))
+    return _sign_test(
+        name,
+        hypothesis,
+        matching,
+        (
+            PairedOutcome(outcome(pair.control), outcome(pair.treatment))
+            for pair in matching.pairs
+        ),
+        n_excluded=(len(control) - len(eligible_control))
         + (len(treatment) - len(eligible_treatment)),
     )
+
+
+def _sign_test(
+    name: str,
+    hypothesis: str,
+    matching: MatchingSummary,
+    outcomes: Iterable[PairedOutcome],
+    n_excluded: int,
+) -> MatchedExperimentResult:
+    """The sign test over matched-pair outcomes, plus its run-ledger
+    accounting (no-op outside a traced run): eligibility attrition,
+    matched pairs, and the paper's overall verdict tally."""
+    result = NaturalExperiment(name=name, hypothesis=hypothesis).evaluate(
+        outcomes
+    )
+    obs.count("experiments.run")
+    obs.count("experiments.users_excluded", n_excluded)
     obs.count("experiments.pairs", result.n_pairs)
     obs.count("experiments.ties", result.n_ties)
     obs.count(
@@ -205,7 +229,7 @@ def eligibility_mask(
 ) -> np.ndarray:
     """Per-user matching eligibility, computed column-wise.
 
-    The vectorized twin of the object path's per-user
+    The column form of :func:`matched_experiment`'s per-user
     ``_has_confounders(...) and isfinite(outcome(...))`` filter: every
     confounder (and the outcome, when given) must be finite.
     """
@@ -228,15 +252,13 @@ def matched_experiment_columns(
     caliper: float = DEFAULT_CALIPER,
     hypothesis: str = "treatment increases demand",
 ) -> MatchedExperimentResult:
-    """Columnar twin of :func:`matched_experiment`.
+    """Run one matched natural experiment between two columnar pools.
 
     ``outcome`` maps a pool to one float per user (see
-    :func:`demand_outcome_array`). Eligibility filtering, matching, the
-    sign test, and the run-ledger accounting all operate on columns;
-    given pools whose per-user values equal the object path's (in the
-    same order), the verdicts and every counter are identical — the
-    equivalence tests in ``tests/analysis/test_columnar.py`` hold the
-    two paths together.
+    :func:`demand_outcome_array`). Eligibility filtering and matching
+    run on columns (:func:`~repro.core.matching.match_pairs_arrays`);
+    the sign test and its run-ledger accounting are the ones
+    :func:`matched_experiment` uses.
     """
     control_outcome = np.asarray(outcome(control), dtype=float)
     treatment_outcome = np.asarray(outcome(treatment), dtype=float)
@@ -252,28 +274,20 @@ def matched_experiment_columns(
         [col(treatment)[treatment_idx] for col in columns],
         caliper=caliper,
     )
-    experiment = NaturalExperiment(name=name, hypothesis=hypothesis)
-    result = experiment.evaluate(
-        PairedOutcome(
-            float(control_outcome[control_idx[pair.control]]),
-            float(treatment_outcome[treatment_idx[pair.treatment]]),
-        )
-        for pair in matching.pairs
-    )
-    obs.count("experiments.run")
-    obs.count(
-        "experiments.users_excluded",
-        (control.n_users - int(control_idx.size))
+    return _sign_test(
+        name,
+        hypothesis,
+        matching,
+        (
+            PairedOutcome(
+                float(control_outcome[control_idx[pair.control]]),
+                float(treatment_outcome[treatment_idx[pair.treatment]]),
+            )
+            for pair in matching.pairs
+        ),
+        n_excluded=(control.n_users - int(control_idx.size))
         + (treatment.n_users - int(treatment_idx.size)),
     )
-    obs.count("experiments.pairs", result.n_pairs)
-    obs.count("experiments.ties", result.n_ties)
-    obs.count(
-        "experiments.verdicts.rejects_null"
-        if result.rejects_null
-        else "experiments.verdicts.null_retained"
-    )
-    return MatchedExperimentResult(result=result, matching=matching)
 
 
 @dataclass(frozen=True)
@@ -320,50 +334,26 @@ def binned_demand_curve(
 ) -> BinnedCurve:
     """Group users into capacity classes and average their demand.
 
-    Accepts either a record sequence or a columnar dataset; the
-    columnar path bins and averages whole columns
-    (:meth:`BinSpec.index_of_array`) and produces a value-identical
-    curve — members enter each bin in user order either way, so the
-    per-bin mean and CI see the same floats in the same order.
+    Accepts either a record sequence or a columnar dataset. Records
+    are first read into one capacity and one demand array; either way
+    whole columns are binned (:meth:`BinSpec.index_of_array`) and each
+    bin averages its members in user order.
     """
     if spec is None:
         spec = capacity_class_spec()
     if isinstance(users, UserColumns):
-        return _binned_demand_curve_columns(
-            users, metric, include_bt, spec, min_users
+        capacity = users.capacity_down_mbps
+        values = demand_outcome_array(metric, include_bt)(users)
+    else:
+        outcome = demand_outcome(metric, include_bt)
+        n = len(users)
+        capacity = np.fromiter(
+            (u.capacity_down_mbps for u in users), dtype=float, count=n
         )
-    outcome = demand_outcome(metric, include_bt)
-    grouped = spec.group((u.capacity_down_mbps, u) for u in users)
-    points = []
-    for bin_ in spec:
-        # Non-finite demand can only come from un-sanitized dirty data;
-        # on clean datasets this filter keeps every member.
-        members = [
-            u for u in grouped.get(bin_, []) if math.isfinite(outcome(u))
-        ]
-        if len(members) < min_users:
-            continue
-        values = [outcome(u) for u in members]
-        points.append(
-            BinnedCurvePoint(
-                bin=bin_,
-                n_users=len(members),
-                average=float(np.mean(values)),
-                ci=mean_confidence_interval(values),
-            )
-        )
-    return BinnedCurve(metric=metric, include_bt=include_bt, points=tuple(points))
-
-
-def _binned_demand_curve_columns(
-    users: UserColumns,
-    metric: str,
-    include_bt: bool,
-    spec: BinSpec,
-    min_users: int,
-) -> BinnedCurve:
-    values = demand_outcome_array(metric, include_bt)(users)
-    bin_index = spec.index_of_array(users.capacity_down_mbps)
+        values = np.fromiter((outcome(u) for u in users), dtype=float, count=n)
+    bin_index = spec.index_of_array(capacity)
+    # Non-finite demand can only come from un-sanitized dirty data; on
+    # clean datasets this filter keeps every member.
     finite = np.isfinite(values)
     points = []
     for i, bin_ in enumerate(spec):

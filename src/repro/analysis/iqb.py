@@ -13,8 +13,8 @@ This module is that analysis family for the reproduction's worlds:
   with weights and min/max thresholds), JSON-loadable with parse-time
   validation that names the offending use case and requirement;
 * :func:`score_columns` — vectorized scoring over the columnar data
-  plane, with :func:`score_record` as the straight-line scalar
-  reference (the property suite holds the two exactly equal);
+  plane (the property suite checks it bit for bit against a
+  straight-line scalar oracle kept in the tests);
 * :func:`market_barometer` — per-market mean scores and fully-ready
   shares with Wilson intervals;
 * :func:`iqb_experiment` — a matched natural experiment extending
@@ -56,7 +56,11 @@ from ..datasets.columns import UserColumns
 from ..datasets.records import UserRecord
 from ..exceptions import AnalysisError
 from ..obs import ledger as obs
-from .common import MatchedExperimentResult, demand_outcome, matched_experiment
+from .common import (
+    MatchedExperimentResult,
+    demand_outcome_array,
+    matched_experiment_columns,
+)
 
 __all__ = [
     "DEFAULT_IQB_CONFIG",
@@ -67,14 +71,12 @@ __all__ = [
     "IqbRequirement",
     "IqbUseCase",
     "MarketScore",
-    "RecordScore",
     "format_iqb_report",
     "iqb_experiment",
     "iqb_payload",
     "market_barometer",
     "resolve_iqb_config",
     "score_columns",
-    "score_record",
 ]
 
 #: Metrics a requirement may grade, mapped to threshold orientation:
@@ -433,7 +435,7 @@ def resolve_iqb_config(
 
 
 # ---------------------------------------------------------------------------
-# Scoring: vectorized columnar path and the scalar reference.
+# Scoring, vectorized over the columnar data plane.
 # ---------------------------------------------------------------------------
 
 
@@ -443,15 +445,6 @@ def _metric_columns(users: UserColumns) -> dict[str, np.ndarray]:
         "upload_mbps": users.current("capacity_up_mbps"),
         "latency_ms": users.latency_ms,
         "loss_fraction": users.loss_fraction,
-    }
-
-
-def _metric_values(user: UserRecord) -> dict[str, float]:
-    return {
-        "download_mbps": user.capacity_down_mbps,
-        "upload_mbps": user.current.capacity_up_mbps,
-        "latency_ms": user.latency_ms,
-        "loss_fraction": user.loss_fraction,
     }
 
 
@@ -479,19 +472,6 @@ def _requirement_met_array(
     if requirement.kind == "min":
         return finite & (values >= requirement.threshold)
     return finite & (values <= requirement.threshold)
-
-
-def _requirement_score(requirement: IqbRequirement, value: float) -> float:
-    # Straight-line scalar twin of _requirement_score_array: the same
-    # divisions and clips in the same order, so the two paths produce
-    # bit-identical floats.
-    if not math.isfinite(value):
-        return 0.0
-    if requirement.kind == "min":
-        return min(1.0, max(0.0, value / requirement.threshold))
-    if value <= requirement.threshold:
-        return 1.0
-    return requirement.threshold / value
 
 
 @dataclass(frozen=True)
@@ -552,68 +532,22 @@ def score_columns(
     )
 
 
-@dataclass(frozen=True)
-class RecordScore:
-    """One household's scores via the scalar reference path."""
-
-    use_case_scores: dict[str, float]
-    composite: float
-    ready: bool
-
-
-def score_record(
-    user: UserRecord, config: IqbConfig | None = None
-) -> RecordScore:
-    """Scalar reference implementation of :func:`score_columns`.
-
-    Exactly (bit-for-bit) the vectorized path's result for the same
-    household — the equivalence property in ``tests/analysis/test_iqb``
-    holds the two implementations together.
-    """
-    config = resolve_iqb_config(config)
-    metrics = _metric_values(user)
-    use_case_scores: dict[str, float] = {}
-    ready = True
-    composite_num = 0.0
-    composite_den = 0.0
-    for use_case in config.use_cases:
-        numerator = 0.0
-        denominator = 0.0
-        for requirement in use_case.requirements:
-            if requirement.weight <= 0:
-                continue
-            value = metrics[requirement.metric]
-            numerator = numerator + requirement.weight * (
-                _requirement_score(requirement, value)
-            )
-            denominator += requirement.weight
-            if use_case.weight > 0:
-                met = math.isfinite(value) and (
-                    value >= requirement.threshold
-                    if requirement.kind == "min"
-                    else value <= requirement.threshold
-                )
-                ready = ready and met
-        score = numerator / denominator
-        use_case_scores[use_case.name] = score
-        if use_case.weight > 0:
-            composite_num = composite_num + use_case.weight * score
-            composite_den += use_case.weight
-    return RecordScore(
-        use_case_scores=use_case_scores,
-        composite=composite_num / composite_den,
-        ready=ready,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Market aggregation.
 # ---------------------------------------------------------------------------
 
 
+def _as_columns(users: "Sequence[UserRecord] | UserColumns") -> UserColumns:
+    """A record sequence or a columnar dataset, as columns."""
+    if isinstance(users, UserColumns):
+        return users
+    return UserColumns.from_records(users)
+
+
 @dataclass(frozen=True)
 class MarketScore:
-    """One market's (country's) aggregated barometer scores."""
+    """One market's (country's) — or one population's — aggregated
+    barometer scores."""
 
     market: str
     n_users: int
@@ -644,6 +578,27 @@ class MarketScore:
         }
 
 
+def _aggregate(
+    label: str, scores: HouseholdScores, mask: np.ndarray
+) -> MarketScore:
+    """The households of ``mask``, aggregated. Reductions run over
+    sorted values so cache-loaded and freshly built worlds (whose row
+    orders may differ) aggregate to identical floats."""
+    n = int(np.count_nonzero(mask))
+    n_ready = int(np.count_nonzero(scores.ready[mask]))
+    return MarketScore(
+        market=label,
+        n_users=n,
+        mean_composite=float(np.sort(scores.composite[mask]).mean()),
+        n_ready=n_ready,
+        ready_ci=wilson_interval(n_ready, n),
+        use_case_means=tuple(
+            (name, float(np.sort(values[mask]).mean()))
+            for name, values in scores.use_case_scores.items()
+        ),
+    )
+
+
 def market_barometer(
     users: "Sequence[UserRecord] | UserColumns",
     config: IqbConfig | None = None,
@@ -653,37 +608,16 @@ def market_barometer(
     """Aggregate household scores per market (country), name order.
 
     Markets with fewer than ``min_users`` households are dropped —
-    a two-household "market" mean is noise, not a barometer. Reductions
-    run over sorted values so cache-loaded and freshly built worlds
-    (whose row orders may differ) aggregate to identical floats.
+    a two-household "market" mean is noise, not a barometer.
     """
-    if not isinstance(users, UserColumns):
-        users = UserColumns.from_records(users)
-    config = resolve_iqb_config(config)
-    scores = score_columns(users, config)
+    users = _as_columns(users)
+    scores = score_columns(users, resolve_iqb_config(config))
     countries = users.current("country")
     markets = []
     for country in np.unique(countries):
         mask = countries == country
-        n = int(np.count_nonzero(mask))
-        if n < min_users:
-            continue
-        n_ready = int(np.count_nonzero(scores.ready[mask]))
-        markets.append(
-            MarketScore(
-                market=country.decode("utf-8"),
-                n_users=n,
-                mean_composite=float(
-                    np.sort(scores.composite[mask]).mean()
-                ),
-                n_ready=n_ready,
-                ready_ci=wilson_interval(n_ready, n),
-                use_case_means=tuple(
-                    (name, float(np.sort(values[mask]).mean()))
-                    for name, values in scores.use_case_scores.items()
-                ),
-            )
-        )
+        if np.count_nonzero(mask) >= min_users:
+            markets.append(_aggregate(country.decode("utf-8"), scores, mask))
     obs.count("iqb.markets", len(markets))
     return tuple(markets)
 
@@ -706,7 +640,7 @@ class IqbExperimentResult:
 
 
 def iqb_experiment(
-    users: Sequence[UserRecord],
+    users: "Sequence[UserRecord] | UserColumns",
     config: IqbConfig | None = None,
     *,
     metric: str = "mean",
@@ -725,87 +659,109 @@ def iqb_experiment(
     quality-of-experience — not the capacity tier it correlates with —
     moves demand. Extends the paper's Table 7/8 single-metric
     experiments to the full use-case composite.
+
+    The arms are class-major (classes in ascending order, households in
+    row order within a class): the matcher breaks exact distance ties by
+    pool position, so this order is part of the result.
     """
     config = resolve_iqb_config(config)
-    users = list(users)
-    if len(users) < _MIN_EXPERIMENT_USERS:
+    users = _as_columns(users)
+    if users.n_users < _MIN_EXPERIMENT_USERS:
         raise AnalysisError(
             f"the IQB experiment needs at least {_MIN_EXPERIMENT_USERS} "
-            f"households, got {len(users)}"
+            f"households, got {users.n_users}"
         )
     with obs.span(f"iqb/experiment/{config.name}"):
-        columns = UserColumns.from_records(users)
-        composite = score_columns(columns, config).composite
+        composite = score_columns(users, config).composite
         classes = capacity_class_spec().index_of_array(
-            columns.capacity_down_mbps
+            users.capacity_down_mbps
         )
-        control: list[UserRecord] = []
-        treatment: list[UserRecord] = []
-        n_classes = 0
+        control: list[UserColumns] = []
+        treatment: list[UserColumns] = []
         for klass in np.unique(classes):
             if klass < 0:
                 continue
-            members = np.flatnonzero(classes == klass)
-            if members.size < _MIN_CLASS_USERS:
+            in_class = classes == klass
+            if np.count_nonzero(in_class) < _MIN_CLASS_USERS:
                 continue
-            class_scores = composite[members]
+            class_scores = composite[in_class]
             low = float(np.quantile(class_scores, 1.0 / 3.0))
             high = float(np.quantile(class_scores, 2.0 / 3.0))
             if not low < high:
                 continue
-            n_classes += 1
-            control.extend(
-                users[i] for i in members if composite[i] <= low
+            control.append(users.select_users(in_class & (composite <= low)))
+            treatment.append(
+                users.select_users(in_class & (composite >= high))
             )
-            treatment.extend(
-                users[i] for i in members if composite[i] >= high
-            )
-        if not n_classes:
+        if not control:
             raise AnalysisError(
                 f"IQB config {config.name!r}: no capacity class has "
                 f">= {_MIN_CLASS_USERS} households with distinct "
                 "composite terciles"
             )
-        result = matched_experiment(
+        control_pool = UserColumns.concat(control)
+        treatment_pool = UserColumns.concat(treatment)
+        result = matched_experiment_columns(
             f"iqb[{config.name}] bottom vs top tercile",
-            control,
-            treatment,
+            control_pool,
+            treatment_pool,
             confounders=_IQB_CONFOUNDERS,
-            outcome=demand_outcome(metric, include_bt),
+            outcome=demand_outcome_array(metric, include_bt),
             hypothesis="higher use-case quality increases demand",
         )
     obs.count("iqb.experiments.run")
     return IqbExperimentResult(
         config_name=config.name,
         experiment=result,
-        n_control=len(control),
-        n_treatment=len(treatment),
-        n_classes=n_classes,
+        n_control=control_pool.n_users,
+        n_treatment=treatment_pool.n_users,
+        n_classes=len(control),
     )
 
 
 # ---------------------------------------------------------------------------
-# Rendering: the report fragment text and the JSON payload.
+# The barometer summary, rendered as report text and as a JSON payload.
 # ---------------------------------------------------------------------------
 
 
-def _population_lines(
-    label: str, scores: HouseholdScores
-) -> list[str]:
-    n = scores.n_users
-    n_ready = int(np.count_nonzero(scores.ready))
-    ci = wilson_interval(n_ready, n)
-    lines = [
-        f"  {label}: {n} households, composite "
-        f"{float(np.sort(scores.composite).mean()):.3f}, fully ready "
-        f"{100 * n_ready / n:.1f}% [{100 * ci.low:.1f}%, "
-        f"{100 * ci.high:.1f}%]"
-    ]
-    for name, values in scores.use_case_scores.items():
-        lines.append(
-            f"    {name:<18} mean score {float(np.sort(values).mean()):.3f}"
-        )
-    return lines
+@dataclass(frozen=True)
+class _Summary:
+    """Every figure of the barometer block, computed once."""
+
+    #: Dasu first, then FCC when it has households.
+    populations: tuple[MarketScore, ...]
+    markets: tuple[MarketScore, ...]
+    #: The experiment, or why it was skipped.
+    experiment: IqbExperimentResult | str
+
+
+def _dasu_columns(dasu: "Sequence[UserRecord] | UserColumns") -> UserColumns:
+    dasu = _as_columns(dasu)
+    if dasu.n_users == 0:
+        raise AnalysisError("the IQB barometer needs Dasu households")
+    return dasu
+
+
+def _summarize(
+    dasu: UserColumns,
+    fcc: "Sequence[UserRecord] | UserColumns | None",
+    config: IqbConfig,
+) -> _Summary:
+    def population(label: str, users: UserColumns) -> MarketScore:
+        scores = score_columns(users, config)
+        return _aggregate(label, scores, np.ones(users.n_users, dtype=bool))
+
+    populations = [population("Dasu", dasu)]
+    if fcc is not None:
+        fcc = _as_columns(fcc)
+        if fcc.n_users:
+            populations.append(population("FCC", fcc))
+    markets = market_barometer(dasu, config)
+    try:
+        experiment: IqbExperimentResult | str = iqb_experiment(dasu, config)
+    except AnalysisError as exc:
+        experiment = str(exc)
+    return _Summary(tuple(populations), markets, experiment)
 
 
 def format_iqb_report(
@@ -817,62 +773,50 @@ def format_iqb_report(
 ) -> str:
     """The barometer block: population scores, markets, experiment."""
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else list(dasu)
-    dasu_columns = (
-        dasu
-        if isinstance(dasu, UserColumns)
-        else UserColumns.from_records(dasu_records)
-    )
-    if dasu_columns.n_users == 0:
-        raise AnalysisError("the IQB barometer needs Dasu households")
+    dasu = _dasu_columns(dasu)
     with obs.span(f"iqb/report/{config.name}"):
-        lines = [f"Internet quality barometer (config {config.name!r})"]
-        lines.extend(
-            _population_lines("Dasu", score_columns(dasu_columns, config))
-        )
-        if fcc is not None:
-            fcc_columns = (
-                fcc
-                if isinstance(fcc, UserColumns)
-                else UserColumns.from_records(fcc)
-            )
-            if fcc_columns.n_users:
-                lines.extend(
-                    _population_lines(
-                        "FCC", score_columns(fcc_columns, config)
-                    )
-                )
-        markets = market_barometer(dasu_columns, config)
-        shown = markets[:max_markets]
+        summary = _summarize(dasu, fcc, config)
+    lines = [f"Internet quality barometer (config {config.name!r})"]
+    for population in summary.populations:
+        ci = population.ready_ci
         lines.append(
-            f"  markets (>= {_MIN_MARKET_USERS} households, "
-            f"{len(shown)} of {len(markets)} shown):"
+            f"  {population.market}: {population.n_users} households, "
+            f"composite {population.mean_composite:.3f}, fully ready "
+            f"{100 * population.n_ready / population.n_users:.1f}% "
+            f"[{100 * ci.low:.1f}%, {100 * ci.high:.1f}%]"
         )
-        for market in shown:
-            lines.append(
-                f"    {market.market:<14} n={market.n_users:<6} "
-                f"composite {market.mean_composite:.3f}  ready "
-                f"{100 * market.ready_share:5.1f}% "
-                f"[{100 * market.ready_ci.low:.1f}%, "
-                f"{100 * market.ready_ci.high:.1f}%]"
-            )
-        if dasu_records is None:
-            dasu_records = list(dasu_columns.iter_records())
-        try:
-            experiment = iqb_experiment(dasu_records, config)
-        except AnalysisError as exc:
-            lines.append(f"  IQB-vs-demand experiment skipped: {exc}")
-        else:
-            result = experiment.experiment.result
-            verdict = "holds" if result.rejects_null else "null retained"
-            lines.append(
-                f"  IQB vs demand (within-class terciles over "
-                f"{experiment.n_classes} capacity classes, "
-                f"capacity+price matched): H holds "
-                f"{100 * result.fraction_holds:.1f}% of "
-                f"{result.n_pairs} pairs, p={result.p_value:.3g} "
-                f"-> {verdict}"
-            )
+        lines.extend(
+            f"    {name:<18} mean score {value:.3f}"
+            for name, value in population.use_case_means
+        )
+    shown = summary.markets[:max_markets]
+    lines.append(
+        f"  markets (>= {_MIN_MARKET_USERS} households, "
+        f"{len(shown)} of {len(summary.markets)} shown):"
+    )
+    for market in shown:
+        lines.append(
+            f"    {market.market:<14} n={market.n_users:<6} "
+            f"composite {market.mean_composite:.3f}  ready "
+            f"{100 * market.ready_share:5.1f}% "
+            f"[{100 * market.ready_ci.low:.1f}%, "
+            f"{100 * market.ready_ci.high:.1f}%]"
+        )
+    if isinstance(summary.experiment, str):
+        lines.append(
+            f"  IQB-vs-demand experiment skipped: {summary.experiment}"
+        )
+    else:
+        result = summary.experiment.experiment.result
+        verdict = "holds" if result.rejects_null else "null retained"
+        lines.append(
+            f"  IQB vs demand (within-class terciles over "
+            f"{summary.experiment.n_classes} capacity classes, "
+            f"capacity+price matched): H holds "
+            f"{100 * result.fraction_holds:.1f}% of "
+            f"{result.n_pairs} pairs, p={result.p_value:.3g} "
+            f"-> {verdict}"
+        )
     return "\n".join(lines)
 
 
@@ -888,60 +832,28 @@ def iqb_payload(
     value serialize byte-identically.
     """
     config = resolve_iqb_config(config)
-    dasu_records = None if isinstance(dasu, UserColumns) else list(dasu)
-    dasu_columns = (
-        dasu
-        if isinstance(dasu, UserColumns)
-        else UserColumns.from_records(dasu_records)
-    )
-    if dasu_columns.n_users == 0:
-        raise AnalysisError("the IQB barometer needs Dasu households")
+    summary = _summarize(_dasu_columns(dasu), fcc, config)
 
-    def population(columns: UserColumns) -> dict:
-        scores = score_columns(columns, config)
-        n_ready = int(np.count_nonzero(scores.ready))
-        ci = wilson_interval(n_ready, scores.n_users)
-        return {
-            "n_users": scores.n_users,
-            "mean_composite": round(
-                float(np.sort(scores.composite).mean()), 12
-            ),
-            "n_ready": n_ready,
-            "ready_share": round(n_ready / scores.n_users, 12),
-            "ready_ci_low": round(ci.low, 12),
-            "ready_ci_high": round(ci.high, 12),
-            "use_case_means": {
-                name: round(float(np.sort(values).mean()), 12)
-                for name, values in scores.use_case_scores.items()
-            },
-        }
+    def population(score: MarketScore) -> dict:
+        payload = score.to_payload()
+        del payload["market"]
+        return payload
 
     payload: dict = {
         "config": config.to_payload(),
-        "dasu": population(dasu_columns),
-        "markets": [
-            m.to_payload() for m in market_barometer(dasu_columns, config)
-        ],
+        "markets": [m.to_payload() for m in summary.markets],
     }
-    if fcc is not None:
-        fcc_columns = (
-            fcc if isinstance(fcc, UserColumns) else UserColumns.from_records(fcc)
-        )
-        if fcc_columns.n_users:
-            payload["fcc"] = population(fcc_columns)
-    if dasu_records is None:
-        dasu_records = list(dasu_columns.iter_records())
-    try:
-        experiment = iqb_experiment(dasu_records, config)
-    except AnalysisError as exc:
-        payload["experiment"] = {"skipped": str(exc)}
+    for key, score in zip(("dasu", "fcc"), summary.populations):
+        payload[key] = population(score)
+    if isinstance(summary.experiment, str):
+        payload["experiment"] = {"skipped": summary.experiment}
     else:
-        result = experiment.experiment.result
+        result = summary.experiment.experiment.result
         payload["experiment"] = {
             "name": result.name,
-            "n_control": experiment.n_control,
-            "n_treatment": experiment.n_treatment,
-            "n_classes": experiment.n_classes,
+            "n_control": summary.experiment.n_control,
+            "n_treatment": summary.experiment.n_treatment,
+            "n_classes": summary.experiment.n_classes,
             "n_pairs": result.n_pairs,
             "fraction_holds": round(result.fraction_holds, 12),
             "p_value": round(result.p_value, 12),

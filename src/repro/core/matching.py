@@ -15,7 +15,7 @@ matching and makes results reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
 import numpy as np
@@ -142,29 +142,9 @@ class MatchingSummary(Generic[T, U]):
         return self.n_matched / smaller
 
 
-def _confounder_matrix(
-    units: Sequence[T],
-    confounders: Sequence[Callable[[T], float]],
-) -> np.ndarray:
-    """Log-space confounder matrix, one row per unit.
-
-    Extraction is necessarily one Python call per (unit, confounder),
-    but validation and the log transform run vectorized per column.
-    """
-    columns = []
-    for extract in confounders:
-        values = np.fromiter(
-            (float(extract(unit)) for unit in units),
-            dtype=float,
-            count=len(units),
-        )
-        columns.append(_log_confounder_column(values, repr(extract)))
-    return np.column_stack(columns).reshape(len(units), len(confounders))
-
-
 def _log_confounder_column(values: np.ndarray, label: str) -> np.ndarray:
     """Validate one confounder column (finite, non-negative) and take it
-    to log space; shared by the object and columnar matching paths."""
+    to log space."""
     invalid = ~np.isfinite(values) | (values < 0)
     if invalid.any():
         value = float(values[int(np.argmax(invalid))])
@@ -183,6 +163,10 @@ def match_pairs(
 ) -> MatchingSummary[T, U]:
     """Match control and treatment units on shared confounders.
 
+    A record adapter over :func:`match_pairs_arrays`: each confounder is
+    extracted into one float array per pool, and the accepted index
+    pairs are mapped back to the units.
+
     Parameters
     ----------
     control, treatment:
@@ -197,41 +181,26 @@ def match_pairs(
         Optional cap on the number of accepted pairs (cheapest-distance
         pairs are kept).
     """
-    if not confounders:
-        raise MatchingError("at least one confounder is required")
 
-    def _accounted(summary: MatchingSummary, n_candidates: int) -> MatchingSummary:
-        # Run-ledger accounting (no-op outside a traced run): pool
-        # sizes, caliper-compatible candidates, and accepted pairs.
-        obs.count("matching.runs")
-        obs.count("matching.pool.control", summary.n_control)
-        obs.count("matching.pool.treatment", summary.n_treatment)
-        obs.count("matching.candidates", n_candidates)
-        obs.count("matching.pairs", summary.n_matched)
-        return summary
+    def _columns(units: Sequence) -> list[np.ndarray]:
+        return [
+            np.fromiter(
+                (float(extract(unit)) for unit in units),
+                dtype=float,
+                count=len(units),
+            )
+            for extract in confounders
+        ]
 
-    summary_empty = MatchingSummary(
-        pairs=(), n_control=len(control), n_treatment=len(treatment), caliper=caliper
+    by_index = match_pairs_arrays(
+        _columns(control), _columns(treatment), caliper, max_pairs
     )
-    if not control or not treatment:
-        return _accounted(summary_empty, 0)
-
-    log_c = _confounder_matrix(control, confounders)
-    log_t = _confounder_matrix(treatment, confounders)
-    accepted, n_candidates = _greedy_index_pairs(
-        log_c, log_t, caliper, max_pairs
-    )
-    return _accounted(
-        MatchingSummary(
-            pairs=tuple(
-                MatchedPair(control[c], treatment[t], dist)
-                for c, t, dist in accepted
-            ),
-            n_control=len(control),
-            n_treatment=len(treatment),
-            caliper=caliper,
+    return replace(
+        by_index,
+        pairs=tuple(
+            MatchedPair(control[p.control], treatment[p.treatment], p.distance)
+            for p in by_index.pairs
         ),
-        n_candidates,
     )
 
 
@@ -241,15 +210,15 @@ def match_pairs_arrays(
     caliper: float = DEFAULT_CALIPER,
     max_pairs: int | None = None,
 ) -> MatchingSummary[int, int]:
-    """Columnar twin of :func:`match_pairs`: one array per confounder.
+    """Match two pools given as one 1-D float array per confounder.
 
-    Each sequence holds one 1-D float array per confounder (all the same
-    length within a pool); the returned pairs carry *indices* into the
-    pools instead of unit objects. Given the same values in the same
-    order, the accepted (control, treatment) index pairs — and the
-    run-ledger accounting — are identical to the object path's, because
-    both run the same validated log-space greedy core.
+    The one matching implementation: :func:`match_pairs` is a record
+    adapter over it. Arrays within a pool share one length; the returned
+    pairs carry *indices* into the pools. Every run is counted in the
+    run ledger (pool sizes, caliper-compatible candidates, pairs).
     """
+    if caliper <= 0:
+        raise MatchingError(f"caliper must be positive, got {caliper}")
     if not control_confounders or not treatment_confounders:
         raise MatchingError("at least one confounder is required")
     if len(control_confounders) != len(treatment_confounders):
@@ -279,40 +248,22 @@ def match_pairs_arrays(
 
     log_c = _matrix(control_confounders, "control")
     log_t = _matrix(treatment_confounders, "treatment")
-    n_control, n_treatment = log_c.shape[0], log_t.shape[0]
-
-    def _accounted(summary: MatchingSummary, n_candidates: int) -> MatchingSummary:
-        obs.count("matching.runs")
-        obs.count("matching.pool.control", summary.n_control)
-        obs.count("matching.pool.treatment", summary.n_treatment)
-        obs.count("matching.candidates", n_candidates)
-        obs.count("matching.pairs", summary.n_matched)
-        return summary
-
-    if n_control == 0 or n_treatment == 0:
-        return _accounted(
-            MatchingSummary(
-                pairs=(), n_control=n_control, n_treatment=n_treatment,
-                caliper=caliper,
-            ),
-            0,
-        )
-    if caliper <= 0:
-        raise MatchingError(f"caliper must be positive, got {caliper}")
     accepted, n_candidates = _greedy_index_pairs(
         log_c, log_t, caliper, max_pairs
     )
-    return _accounted(
-        MatchingSummary(
-            pairs=tuple(
-                MatchedPair(c, t, dist) for c, t, dist in accepted
-            ),
-            n_control=n_control,
-            n_treatment=n_treatment,
-            caliper=caliper,
-        ),
-        n_candidates,
+    summary = MatchingSummary(
+        pairs=tuple(MatchedPair(c, t, dist) for c, t, dist in accepted),
+        n_control=log_c.shape[0],
+        n_treatment=log_t.shape[0],
+        caliper=caliper,
     )
+    # Run-ledger accounting (no-op outside a traced run).
+    obs.count("matching.runs")
+    obs.count("matching.pool.control", summary.n_control)
+    obs.count("matching.pool.treatment", summary.n_treatment)
+    obs.count("matching.candidates", n_candidates)
+    obs.count("matching.pairs", summary.n_matched)
+    return summary
 
 
 def _greedy_index_pairs(
@@ -326,8 +277,8 @@ def _greedy_index_pairs(
     Returns accepted ``(control_index, treatment_index, distance)``
     triples (in acceptance order) and the caliper-compatible candidate
     count. The ``lexsort`` tie-break on (distance, control, treatment)
-    makes the result a pure function of the matrices, which is what lets
-    the object and columnar paths guarantee identical pairs.
+    makes the result a pure function of the matrices: exact distance
+    ties go to the lower pool index, so pool order decides them.
     """
     limit = math.log(1.0 + caliper)
     n_control, n_confounders = log_c.shape

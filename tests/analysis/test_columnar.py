@@ -1,9 +1,10 @@
-"""Columnar analysis twins == object-path analysis, exactly.
+"""Record entry points == columnar entry points, exactly.
 
 ``binned_demand_curve``, eligibility filtering, and the matched natural
-experiments each have a column-wise implementation; admission criterion
-is *exact* agreement with the per-record path — same points, same pairs
-(by user), same distances, same verdicts — not statistical closeness.
+experiments each have one column-wise implementation, and the record
+entry points are adapters over it. These tests check that the adapters
+read the same values the columns hold — same points, same pairs (by
+user), same distances, same verdicts — not statistical closeness.
 """
 
 from __future__ import annotations

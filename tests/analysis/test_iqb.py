@@ -33,12 +33,16 @@ from repro.analysis.iqb import (
     market_barometer,
     resolve_iqb_config,
     score_columns,
-    score_record,
 )
+from repro.analysis.common import demand_outcome, matched_experiment
+from repro.core.binning import capacity_class_spec
 from repro.core.upgrades import NetworkId, ServicePeriod
 from repro.datasets import UserColumns
 from repro.datasets.records import PeriodObservation, UserRecord
 from repro.exceptions import AnalysisError
+from repro.obs.ledger import scoped
+
+from .iqb_oracle import score_record
 
 GOLDEN_DIR = Path(__file__).parent.parent / "golden"
 GOLDEN_IQB = GOLDEN_DIR / "iqb_report_small.txt"
@@ -59,6 +63,8 @@ def make_record(
     *,
     user_id: str = "u0",
     country: str = "Chile",
+    price: float = 40.0,
+    demand: float = 0.8,
 ) -> UserRecord:
     period = ServicePeriod(
         user_id=user_id,
@@ -68,7 +74,7 @@ def make_record(
         capacity_mbps=download,
         mean_mbps=1.0,
         peak_mbps=4.0,
-        mean_no_bt_mbps=0.8,
+        mean_no_bt_mbps=demand,
         peak_no_bt_mbps=3.0,
     )
     observation = PeriodObservation(
@@ -89,7 +95,7 @@ def make_record(
         technology="cable",
         bt_user=False,
         observations=(observation,),
-        price_of_access_usd=40.0,
+        price_of_access_usd=price,
         upgrade_cost_usd_per_mbps=1.0,
         gdp_per_capita_usd=15000.0,
     )
@@ -568,6 +574,115 @@ def iqb_world():
     return build_world(
         WorldConfig(seed=5, n_dasu_users=150, n_fcc_users=40, days_per_year=1.0)
     )
+
+
+def _record_path_experiment(users, config):
+    """The IQB arms built as class-major record lists and run through
+    the record ``matched_experiment``: the oracle for the columnar
+    pools of :func:`iqb_experiment`."""
+    config = resolve_iqb_config(config)
+    users = list(users)
+    columns = UserColumns.from_records(users)
+    composite = score_columns(columns, config).composite
+    classes = capacity_class_spec().index_of_array(columns.capacity_down_mbps)
+    control, treatment, n_classes = [], [], 0
+    for klass in np.unique(classes):
+        members = np.flatnonzero(classes == klass)
+        if klass < 0 or members.size < 9:
+            continue
+        low = float(np.quantile(composite[members], 1.0 / 3.0))
+        high = float(np.quantile(composite[members], 2.0 / 3.0))
+        if not low < high:
+            continue
+        n_classes += 1
+        control.extend(users[i] for i in members if composite[i] <= low)
+        treatment.extend(users[i] for i in members if composite[i] >= high)
+    result = matched_experiment(
+        f"iqb[{config.name}] bottom vs top tercile",
+        control,
+        treatment,
+        confounders=("capacity", "price_of_access"),
+        outcome=demand_outcome("mean", include_bt=False),
+        hypothesis="higher use-case quality increases demand",
+    )
+    return result, len(control), len(treatment), n_classes
+
+
+def _assert_matches_record_oracle(users, config):
+    with scoped() as oracle_ledger:
+        expected, n_control, n_treatment, n_classes = (
+            _record_path_experiment(users, config)
+        )
+    with scoped() as ledger:
+        actual = iqb_experiment(users, config)
+    assert actual.experiment.result == expected.result
+    assert [p.distance for p in actual.experiment.matching.pairs] == [
+        p.distance for p in expected.matching.pairs
+    ]
+    assert (actual.n_control, actual.n_treatment, actual.n_classes) == (
+        n_control,
+        n_treatment,
+        n_classes,
+    )
+
+    def accounting(counters):
+        return {
+            name: value
+            for name, value in counters.items()
+            if name.startswith(("matching.", "experiments."))
+        }
+
+    assert accounting(ledger.counters) == accounting(oracle_ledger.counters)
+    assert accounting(ledger.counters)["matching.pairs"] > 0
+    return actual.experiment.result
+
+
+@pytest.mark.parametrize("config", ["default", "streaming"])
+def test_experiment_pools_match_record_oracle(iqb_world, config):
+    _assert_matches_record_oracle(iqb_world.dasu.users, config)
+
+
+def test_experiment_pools_are_class_major():
+    """An exact distance tie across two capacity classes.
+
+    Treatment ``t`` (6 Mbps, price 6) is equally far from control
+    ``c_high`` (7 Mbps, price 6; class (6.4, 12.8]) and ``c_low``
+    (6 Mbps, price 7; class (3.2, 6.4]). The matcher gives ``t`` to the
+    control earlier in the pool. ``c_high`` comes first in row order
+    but ``c_low`` first in class-major order, and the two pairs
+    disagree on the sign of the demand difference.
+    """
+    records = []
+
+    def add(capacity, latency, price, demand=1.0):
+        records.append(
+            make_record(
+                download=capacity,
+                latency=latency,
+                price=price,
+                demand=demand,
+                user_id=f"u{len(records)}",
+            )
+        )
+
+    # Latency sets the composite within a class: the three slowest
+    # households of a class are its control tercile, the three fastest
+    # its treatment tercile. Every other household's price is unique
+    # and at least 2x from any other, so only the tie can match.
+    spread = iter(100.0 * 2.0**k for k in range(40))
+    add(7.0, 900.0, 6.0, demand=2.0)  # c_high: out-demands t
+    for latency in (800.0, 700.0, 300.0, 250.0, 200.0, 50.0, 40.0, 30.0):
+        add(7.0, latency, next(spread))
+    add(6.0, 900.0, 7.0, demand=0.5)  # c_low: t out-demands it
+    add(6.0, 30.0, 6.0, demand=1.0)  # t
+    for latency in (800.0, 700.0, 300.0, 250.0, 200.0, 50.0, 40.0):
+        add(6.0, latency, next(spread))
+    # Filler in classes too small to enter the experiment.
+    for i in range(12):
+        add(50.0 if i < 8 else 200.0, 50.0, next(spread))
+    result = _assert_matches_record_oracle(records, "default")
+    # t went to c_low, the class-major first control.
+    assert (result.n_pairs, result.n_holds) == (1, 1)
 
 
 def test_iqb_report_matches_golden(iqb_world, request):

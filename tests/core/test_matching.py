@@ -175,6 +175,15 @@ class TestMatchPairs:
         with pytest.raises(MatchingError):
             matching.match_pairs([{"v": 1}], [{"v": 1}], [])
 
+    @pytest.mark.parametrize("caliper", [0.0, -0.5, -1.0])
+    def test_non_positive_caliper_rejected(self, caliper):
+        # Unchecked, zero would match exact ties only, and a negative
+        # caliper would match nothing silently or fail inside math.log.
+        with pytest.raises(MatchingError, match="caliper must be positive"):
+            matching.match_pairs(
+                [{"v": 1.0}], [{"v": 1.0}], [by_value], caliper=caliper
+            )
+
     def test_nan_confounder_rejected(self):
         with pytest.raises(MatchingError):
             matching.match_pairs(
