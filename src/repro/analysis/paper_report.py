@@ -35,8 +35,9 @@ from ..exceptions import AnalysisError
 from ..market.survey import PlanSurvey
 from ..obs import ledger as obs
 from ..obs.ledger import RunLedger
-from . import capacity, characterization, iqb, longitudinal, price, quality, upgrade_cost
+from . import capacity, iqb, price, upgrade_cost
 from .price import Table4Result
+from .registry import REGISTRY, table6_tag
 from .report import format_curve, format_experiment_row
 from .upgrade_cost import Table5Result
 
@@ -49,15 +50,27 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class _Fragment:
+    """One report fragment: its key, its renderer, and the world slices
+    it reads (``"dasu"``, ``"fcc"``, ``"survey"``); left empty, those of
+    the registry entry with the same key."""
+
+    key: str
+    render: Callable
+    inputs: tuple[str, ...] = ()
+
+
 # ---------------------------------------------------------------------------
 # Fragment builders. Each returns one rendered text block (or None when its
 # optional dataset is absent) for a slice of a section, and must not depend
-# on any other fragment having run.
+# on any other fragment having run. Fragments keyed like a registry entry
+# run that entry, all but the iqb barometer.
 # ---------------------------------------------------------------------------
 
 
 def _fragment_fig1(dasu, fcc, survey) -> str:
-    result = characterization.figure1(dasu)
+    result = REGISTRY["fig1"].run(dasu, fcc, survey)
     lines = [f"Figure 1 — connection characterization (n={result.n_users})"]
     for label, paper, measured in result.summary_rows():
         lines.append(
@@ -67,7 +80,7 @@ def _fragment_fig1(dasu, fcc, survey) -> str:
 
 
 def _fragment_fig2(dasu, fcc, survey) -> str:
-    fig2 = capacity.figure2(dasu)
+    fig2 = REGISTRY["fig2"].run(dasu, fcc, survey)
     lines = [format_curve("  Fig. 2d: peak demand, no BT", fig2.peak_no_bt)]
     lines.append(
         f"  min panel correlation: paper >= 0.870, measured "
@@ -86,16 +99,28 @@ def _fragment_fig3(dasu, fcc, survey) -> str | None:
     )
 
 
-def _fragment_table1(dasu, fcc, survey) -> str:
-    t1 = capacity.table1(dasu)
-    lines = [f"  Table 1 ({t1.n_observations} slow/fast pairs):"]
-    for label, paper, result in t1.rows():
-        lines.append("  " + format_experiment_row(label, paper, result))
-    return "\n".join(lines)
+def _table_fragment(
+    key: str, header: str = "", label_prefix: str = ""
+) -> _Fragment:
+    """Registry table ``key`` as a fragment: ``header`` (formatted with
+    the result as ``{0}``) over the entry's labeled rows."""
+
+    def build(dasu, fcc, survey) -> str:
+        entry = REGISTRY[key]
+        result = entry.run(dasu, fcc, survey)
+        lines = [header.format(result)] if header else []
+        for label, paper, experiment in entry.rows(result):
+            lines.append(
+                "  "
+                + format_experiment_row(label_prefix + label, paper, experiment)
+            )
+        return "\n".join(lines)
+
+    return _Fragment(key, build)
 
 
 def _fragment_fig4(dasu, fcc, survey) -> str:
-    fig4 = capacity.figure4(dasu)
+    fig4 = REGISTRY["fig4"].run(dasu, fcc, survey)
     return (
         f"  Fig. 4: median mean usage x{fig4.mean_ratio_at_median:.1f} "
         f"(paper x2.0), median peak x{fig4.peak_ratio_at_median:.1f} "
@@ -103,21 +128,8 @@ def _fragment_fig4(dasu, fcc, survey) -> str:
     )
 
 
-def _fragment_table2(dasu, fcc, survey) -> str:
-    t2 = capacity.table2(dasu, "dasu")
-    lines = ["  Table 2 (Dasu):"]
-    for row in t2.rows:
-        lines.append(
-            "  "
-            + format_experiment_row(
-                f"{row.control_bin.label()} vs next", None, row.experiment
-            )
-        )
-    return "\n".join(lines)
-
-
 def _fragment_fig6(dasu, fcc, survey) -> str:
-    result = longitudinal.figure6(dasu, min_users=30)
+    result = REGISTRY["fig6"].run(dasu, fcc, survey)
     lines = ["Section 4 — longitudinal trends (Fig. 6)"]
     lines.append(
         "  "
@@ -136,17 +148,7 @@ def _fragment_fig6(dasu, fcc, survey) -> str:
     return "\n".join(lines)
 
 
-def _fragment_table3(dasu, fcc, survey) -> str:
-    t3 = price.table3(dasu)
-    lines = []
-    for label, paper, result in t3.rows():
-        lines.append("  " + format_experiment_row(label, paper, result))
-    return "\n".join(lines)
-
-
 def _fragment_table4(dasu, fcc, survey) -> str | None:
-    if survey is None:
-        return None
     t4 = price.table4(dasu, survey)
     lines = ["  Table 4 (paper/measured):"]
     for row in t4.rows:
@@ -161,7 +163,7 @@ def _fragment_table4(dasu, fcc, survey) -> str | None:
 
 
 def _fragment_fig7(dasu, fcc, survey) -> str:
-    fig7 = price.figure7(dasu)
+    fig7 = REGISTRY["fig7"].run(dasu, fcc, survey)
     lines = [
         "  Fig. 7: utilization order reverses capacity order: "
         f"{fig7.utilization_order_reverses_capacity_order()}"
@@ -175,9 +177,7 @@ def _fragment_fig7(dasu, fcc, survey) -> str:
 
 
 def _fragment_fig10(dasu, fcc, survey) -> str | None:
-    if survey is None:
-        return None
-    fig10 = upgrade_cost.figure10(survey)
+    fig10 = REGISTRY["fig10"].run(dasu, fcc, survey)
     strong, moderate = upgrade_cost.correlation_summary(survey)
     return (
         f"  Fig. 10: {fig10.n_countries} qualifying markets; "
@@ -187,9 +187,7 @@ def _fragment_fig10(dasu, fcc, survey) -> str | None:
 
 
 def _fragment_table5(dasu, fcc, survey) -> str | None:
-    if survey is None:
-        return None
-    t5 = upgrade_cost.table5(survey)
+    t5 = REGISTRY["table5"].run(dasu, fcc, survey)
     lines = ["  Table 5 (paper/measured, % above $1/$5/$10):"]
     for row in t5.rows:
         if row.n_countries == 0:
@@ -204,35 +202,21 @@ def _fragment_table5(dasu, fcc, survey) -> str | None:
     return "\n".join(lines)
 
 
-def _table6_fragment(include_bt: bool) -> Callable:
+def _table6_fragment(key: str, include_bt: bool) -> _Fragment:
+    """One panel of the registry's table6 experiment, untagged rows."""
+
     def build(dasu, fcc, survey) -> str:
         t6 = upgrade_cost.table6(dasu, include_bt=include_bt)
-        tag = "w/ BT" if include_bt else "no BT"
-        lines = [f"  Table 6 ({tag}):"]
+        lines = [f"  Table 6 ({table6_tag(include_bt)}):"]
         for label, paper, result in t6.rows():
             lines.append("  " + format_experiment_row(label, paper, result))
         return "\n".join(lines)
 
-    return build
-
-
-def _fragment_table7(dasu, fcc, survey) -> str:
-    t7 = quality.table7(dasu)
-    lines = ["  Table 7 (latency):"]
-    for row in t7.rows:
-        lines.append(
-            "  "
-            + format_experiment_row(
-                f"control (512,2048] vs {row.treatment_bin.label('ms')}",
-                row.paper_percent,
-                row.experiment,
-            )
-        )
-    return "\n".join(lines)
+    return _Fragment(key, build, REGISTRY["table6"].inputs)
 
 
 def _fragment_fig11(dasu, fcc, survey) -> str:
-    fig11 = quality.figure11(dasu)
+    fig11 = REGISTRY["fig11"].run(dasu, fcc, survey)
     return (
         f"  Fig. 11: India median latency {fig11.india_median_ndt_ms:.0f} ms "
         f"vs rest {fig11.other_median_ndt_ms:.0f} ms; India demands less "
@@ -241,21 +225,8 @@ def _fragment_fig11(dasu, fcc, survey) -> str:
     )
 
 
-def _fragment_table8(dasu, fcc, survey) -> str:
-    t8 = quality.table8(dasu)
-    lines = ["  Table 8 (packet loss):"]
-    for row in t8.rows:
-        lines.append(
-            "  "
-            + format_experiment_row(
-                row.experiment.result.name, row.paper_percent, row.experiment
-            )
-        )
-    return "\n".join(lines)
-
-
 def _fragment_fig12(dasu, fcc, survey) -> str:
-    fig12 = quality.figure12(dasu)
+    fig12 = REGISTRY["fig12"].run(dasu, fcc, survey)
     return (
         f"  Fig. 12: median loss India {fig12.india_median_loss_pct:.2f}% "
         f"vs rest {fig12.other_median_loss_pct:.3f}%"
@@ -264,16 +235,6 @@ def _fragment_fig12(dasu, fcc, survey) -> str:
 
 def _fragment_iqb(dasu, fcc, survey) -> str:
     return iqb.format_iqb_report(dasu, fcc)
-
-
-@dataclass(frozen=True)
-class _Fragment:
-    """One report fragment: its key, its renderer, and the world slices
-    it reads (``"dasu"``, ``"fcc"``, ``"survey"``)."""
-
-    key: str
-    render: Callable
-    inputs: tuple[str, ...] = ("dasu",)
 
 
 #: The paper's sections, in output order: an optional static header plus
@@ -290,16 +251,18 @@ _SECTIONS: tuple[tuple[str | None, tuple[_Fragment, ...]], ...] = (
         (
             _Fragment("fig2", _fragment_fig2),
             _Fragment("fig3", _fragment_fig3, ("dasu", "fcc")),
-            _Fragment("table1", _fragment_table1),
+            _table_fragment(
+                "table1", "  Table 1 ({0.n_observations} slow/fast pairs):"
+            ),
             _Fragment("fig4", _fragment_fig4),
-            _Fragment("table2", _fragment_table2),
+            _table_fragment("table2", "  Table 2 (Dasu):"),
         ),
     ),
     (None, (_Fragment("fig6", _fragment_fig6),)),
     (
         "Section 5 — price of broadband access",
         (
-            _Fragment("table3", _fragment_table3),
+            _table_fragment("table3"),
             _Fragment("table4", _fragment_table4, ("dasu", "survey")),
             _Fragment("fig7", _fragment_fig7),
         ),
@@ -307,23 +270,27 @@ _SECTIONS: tuple[tuple[str | None, tuple[_Fragment, ...]], ...] = (
     (
         "Section 6 — cost of increasing capacity",
         (
-            _Fragment("fig10", _fragment_fig10, ("survey",)),
-            _Fragment("table5", _fragment_table5, ("survey",)),
-            _Fragment("table6_bt", _table6_fragment(include_bt=True)),
-            _Fragment("table6_nobt", _table6_fragment(include_bt=False)),
+            _Fragment("fig10", _fragment_fig10),
+            _Fragment("table5", _fragment_table5),
+            _table6_fragment("table6_bt", include_bt=True),
+            _table6_fragment("table6_nobt", include_bt=False),
         ),
     ),
     (
         "Section 7 — connection quality",
         (
-            _Fragment("table7", _fragment_table7),
+            _table_fragment(
+                "table7", "  Table 7 (latency):", "control (512,2048] "
+            ),
             _Fragment("fig11", _fragment_fig11),
-            _Fragment("table8", _fragment_table8),
+            _table_fragment("table8", "  Table 8 (packet loss):"),
             _Fragment("fig12", _fragment_fig12),
         ),
     ),
     (
         "Extension — internet quality barometer",
+        # The barometer block scores the FCC panel too; the registry's
+        # iqb entry is the Dasu-only IQB-vs-demand experiment.
         (_Fragment("iqb", _fragment_iqb, ("dasu", "fcc")),),
     ),
 )
@@ -337,7 +304,7 @@ _FRAGMENTS: dict[str, _Fragment] = {
 
 def fragment_inputs(key: str) -> tuple[str, ...]:
     """The slice names fragment ``key`` reads."""
-    return _FRAGMENTS[key].inputs
+    return _FRAGMENTS[key].inputs or REGISTRY[key].inputs
 
 
 def fragment_keys() -> tuple[str, ...]:
@@ -355,10 +322,13 @@ def render_fragment(
 
     An :class:`~repro.exceptions.AnalysisError` becomes the ``error``
     message its section is skipped with; ``None`` text means the
-    fragment's optional dataset is absent. Rendering records no timing,
-    so a DAG fragment stage's artifact holds no wall-clock state and an
-    unchanged input hashes to an unchanged output.
+    fragment's optional dataset (e.g. the survey) is absent. Rendering
+    records no timing, so a DAG fragment stage's artifact holds no
+    wall-clock state and an unchanged input hashes to an unchanged
+    output.
     """
+    if survey is None and "survey" in fragment_inputs(key):
+        return None, None
     render = _FRAGMENTS[key].render
     try:
         return render(dasu, fcc, survey), None

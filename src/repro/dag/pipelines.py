@@ -48,7 +48,7 @@ import numpy as np
 from ..datasets.cache import WorldCache, build_or_load_world, cache_key
 from ..datasets.io import config_from_payload, config_payload, survey_csv_text
 from ..datasets.world import World, WorldConfig
-from ..exceptions import DagError
+from ..exceptions import DagError, SweepError
 from ..faults import fault_profile
 from ..obs.ledger import current
 from .spec import DagSpec, StageSpec, register_stage_kind
@@ -510,15 +510,32 @@ def sweep_spec(
     lists them in. ``with_report`` appends the ``sweep-report`` stage
     that folds every cell into the stability report (``repro sweep``
     formats in-process instead and omits it).
+
+    An empty, unknown or repeated experiment key raises
+    :class:`~repro.exceptions.SweepError` before any world is built (a
+    repeated key would count its cells twice in every verdict share).
     """
     from ..sweep.grid import ScenarioGrid  # lazy: cycle with repro.sweep
+    from ..sweep.runners import SWEEP_EXPERIMENTS
 
+    experiments = tuple(experiments)
+    if not experiments:
+        raise SweepError("a sweep needs at least one experiment")
+    for key in experiments:
+        if key not in SWEEP_EXPERIMENTS:
+            raise SweepError(
+                f"unknown sweep experiment {key!r} "
+                f"(expected one of: {', '.join(SWEEP_EXPERIMENTS)})"
+            )
+    if len(set(experiments)) != len(experiments):
+        raise SweepError(
+            f"sweep experiments must be distinct, got {experiments}"
+        )
     if not isinstance(grid, ScenarioGrid):
         grid = ScenarioGrid.from_payload(grid)
     base_payload = _world_payload(base_config, "sweep base config")
     base = config_from_payload(base_payload)
     seeds = tuple(int(s) for s in seeds)
-    experiments = tuple(experiments)
     stages: list[StageSpec] = []
     cell_names: list[str] = []
     for scenario, seed, cell_config in grid.configs(base, seeds):

@@ -1,10 +1,11 @@
 """The experiments a sweep can evaluate in every cell.
 
-Each runner takes a built world's Dasu users and returns the natural
-experiments of one paper table as :class:`VerdictRow` records — the
-verdict (significant *and* practically important, the paper's bar) plus
-the raw "% H holds" behind it. The registry is an ordered mapping so a
-sweep's report always lists experiments in the paper's table order.
+Each runner takes a built world's Dasu users, runs one experiment of
+the registry (:mod:`repro.analysis.registry`) and returns its labeled
+rows as :class:`VerdictRow` records — the verdict (significant *and*
+practically important, the paper's bar) plus the raw "% H holds" behind
+it. :data:`_RUNNERS` is an ordered mapping so a sweep's report always
+lists experiments in the paper's table order.
 
 Rows with zero matched pairs are dropped: they carry no verdict
 evidence and would only add ``NaN`` noise to the stability matrix.
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..analysis import capacity, iqb, price, quality, upgrade_cost
-from ..core.experiments import ExperimentResult
+from ..analysis.registry import REGISTRY
 from ..datasets.records import UserRecord
 from ..exceptions import SweepError
 
@@ -50,100 +50,59 @@ class VerdictRow:
         }
 
 
-def _verdict(experiment: str, row: str, result: ExperimentResult) -> VerdictRow:
-    return VerdictRow(
-        experiment=experiment,
-        row=row,
-        fraction_holds=float(result.fraction_holds),
-        n_pairs=int(result.n_pairs),
-        p_value=float(result.p_value),
-        significant=bool(result.statistically_significant),
-        rejects_null=bool(result.rejects_null),
-    )
-
-
-def _rows(
-    experiment: str, labeled: Sequence[tuple[str, ExperimentResult]]
-) -> list[VerdictRow]:
+def _verdicts(key: str, result) -> list[VerdictRow]:
+    """Registry entry ``key``'s rows of ``result`` as verdicts."""
     return [
-        _verdict(experiment, label, result)
-        for label, result in labeled
-        if result.n_pairs > 0
+        VerdictRow(
+            experiment=key,
+            row=label,
+            fraction_holds=float(experiment.fraction_holds),
+            n_pairs=int(experiment.n_pairs),
+            p_value=float(experiment.p_value),
+            significant=bool(experiment.statistically_significant),
+            rejects_null=bool(experiment.rejects_null),
+        )
+        for label, _, experiment in REGISTRY[key].rows(result)
+        if experiment.n_pairs > 0
     ]
 
 
+def _run(key: str, users: Sequence[UserRecord]) -> list[VerdictRow]:
+    return _verdicts(key, REGISTRY[key].run(users, None, None))
+
+
+# One module-level runner per experiment, so each can be timed on its own.
+
+
 def _run_table1(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = capacity.table1(users)
-    return _rows(
-        "table1",
-        [(label, res) for label, _, res in result.rows()],
-    )
+    return _run("table1", users)
 
 
 def _run_table2(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = capacity.table2(users, "dasu")
-    return _rows(
-        "table2",
-        [
-            (f"{row.control_bin.label()} vs next", row.experiment.result)
-            for row in result.rows
-        ],
-    )
+    return _run("table2", users)
 
 
 def _run_table3(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = price.table3(users)
-    return _rows(
-        "table3",
-        [(label, res.result) for label, _, res in result.rows()],
-    )
+    return _run("table3", users)
 
 
 def _run_table6(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    labeled = []
-    for include_bt in (True, False):
-        result = upgrade_cost.table6(users, include_bt=include_bt)
-        tag = "w/ BT" if include_bt else "no BT"
-        labeled.extend(
-            (f"{label} ({tag})", res.result)
-            for label, _, res in result.rows()
-        )
-    return _rows("table6", labeled)
+    return _run("table6", users)
 
 
 def _run_table7(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = quality.table7(users)
-    return _rows(
-        "table7",
-        [
-            (f"vs {row.treatment_bin.label('ms')}", row.experiment.result)
-            for row in result.rows
-        ],
-    )
+    return _run("table7", users)
 
 
 def _run_table8(users: Sequence[UserRecord]) -> list[VerdictRow]:
-    result = quality.table8(users)
-    return _rows(
-        "table8",
-        [
-            (row.experiment.result.name, row.experiment.result)
-            for row in result.rows
-        ],
-    )
+    return _run("table8", users)
 
 
 def _run_iqb(
     users: Sequence[UserRecord], iqb_config=None
 ) -> list[VerdictRow]:
-    result = iqb.iqb_experiment(users, iqb_config)
-    # The row label stays constant across configs — the config identity
-    # lives in the scenario name, so a grid with an iqb_config axis
-    # lines its cells up in one stability-matrix row.
-    return _rows(
-        "iqb",
-        [("top vs bottom tercile", result.experiment.result)],
-    )
+    # The IQB config is a sweep axis, passed to the entry's analysis.
+    return _verdicts("iqb", REGISTRY["iqb"].analysis(users, iqb_config))
 
 
 _RUNNERS: dict[str, Callable[..., list[VerdictRow]]] = {

@@ -25,7 +25,13 @@ from repro.dag import (
     fragment_report_spec,
     run_dag,
 )
-from repro.datasets import AppendDelta, WorldCache, WorldConfig, append_world
+from repro.datasets import (
+    AppendDelta,
+    WorldCache,
+    WorldConfig,
+    append_world,
+    build_world,
+)
 from repro.exceptions import AnalysisError
 
 CONFIG = WorldConfig(
@@ -97,6 +103,31 @@ def test_every_fragment_declares_known_inputs():
         inputs = fragment_inputs(key)
         assert inputs
         assert set(inputs) <= {"dasu", "fcc", "survey"}
+
+
+@pytest.fixture(scope="module")
+def golden_world():
+    from ..test_golden_report import GOLDEN_CONFIG
+
+    return build_world(GOLDEN_CONFIG)
+
+
+def test_every_fragment_reads_only_its_declared_inputs(golden_world):
+    """The fragment DAG keys a fragment on its declared slices alone, so
+    rendering from just those must match rendering from all three."""
+    everything = {
+        "dasu": golden_world.dasu.users,
+        "fcc": golden_world.fcc.users,
+        "survey": golden_world.survey,
+    }
+    mismatched = []
+    for key in fragment_keys():
+        declared = {name: everything[name] for name in fragment_inputs(key)}
+        if render_fragment(key, **declared) != render_fragment(
+            key, **everything
+        ):
+            mismatched.append(key)
+    assert mismatched == []
 
 
 def test_render_fragment_captures_analysis_error():

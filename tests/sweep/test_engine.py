@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.dag import sweep_spec
 from repro.exceptions import SweepError
 from repro.obs import RunLedger
 from repro.sweep import SWEEP_EXPERIMENTS, ScenarioGrid, run_sweep
@@ -101,6 +102,33 @@ class TestRunSweep:
         with pytest.raises(SweepError, match="at least one experiment"):
             run_sweep(
                 SMALL_SWEEP_BASE, ScenarioGrid.baseline(), (5,), experiments=()
+            )
+
+    def test_duplicate_experiments_rejected_before_any_world(self, tmp_path):
+        # A repeated key would count each cell twice in its verdict share.
+        cache = tmp_path / "cache"
+        with pytest.raises(SweepError, match="distinct"):
+            run_sweep(
+                SMALL_SWEEP_BASE,
+                ScenarioGrid.baseline(),
+                (5,),
+                experiments=("table1", "table1"),
+                cache_root=cache,
+            )
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize(
+        "experiments, match",
+        [
+            ((), "at least one experiment"),
+            (("bogus",), "unknown sweep experiment 'bogus'"),
+            (("table1", "table2", "table1"), "distinct"),
+        ],
+    )
+    def test_sweep_spec_validates_experiments(self, experiments, match):
+        with pytest.raises(SweepError, match=match):
+            sweep_spec(
+                SMALL_SWEEP_BASE, ScenarioGrid.baseline(), (5,), experiments
             )
 
     def test_no_seeds_anywhere_rejected(self):

@@ -463,6 +463,17 @@ class TestIqb:
         assert rc == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_trace_without_out_fails_before_any_work(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        rc = main(
+            ["iqb", "--trace", "--cache-dir", str(cache)] + self.ARGS
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--out" in captured.err
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 class TestDagRun:
     def test_unknown_fragment_fails_cleanly(self, tmp_path, capsys):
@@ -484,3 +495,29 @@ class TestDagRun:
         assert err.startswith("error: ")
         assert "'nope'" in err
         assert "fig1" in err and "iqb" in err
+
+    @pytest.mark.parametrize(
+        "experiments", [["bogus"], [], ["table1", "table1"]]
+    )
+    def test_bad_sweep_experiments_fail_before_any_build(
+        self, tmp_path, capsys, experiments
+    ):
+        import json
+
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "pipeline": "sweep",
+            "config": {
+                "base": {"seed": 3, "n_dasu_users": 60, "n_fcc_users": 0,
+                         "days_per_year": 1.0},
+                "seeds": [3],
+                "experiments": experiments,
+            },
+        }))
+        cache = tmp_path / "cache"
+        rc = main(["dag", "run", "--spec", str(spec),
+                   "--out", str(tmp_path / "run"),
+                   "--cache-dir", str(cache)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not cache.exists() or not any(cache.iterdir())
