@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -113,6 +114,21 @@ def _require_number(
     return float(value)
 
 
+def _check_weight(weight: float, where: str) -> None:
+    """A weight is finite and either 0 or a normal positive float.
+
+    A subnormal weight is rejected: rescaling it can underflow to 0,
+    which would silently drop its entry from the means and from
+    ``ready`` instead of weighting it.
+    """
+    subnormal = 0 < weight < sys.float_info.min
+    if not math.isfinite(weight) or weight < 0 or subnormal:
+        raise AnalysisError(
+            f"{where}: weight must be finite and either 0 or at least "
+            f"{sys.float_info.min!r}, got {weight!r}"
+        )
+
+
 @dataclass(frozen=True)
 class IqbRequirement:
     """One graded network requirement of a use case."""
@@ -129,11 +145,7 @@ class IqbRequirement:
                 f"use case {use_case!r}: unknown requirement metric "
                 f"{self.metric!r} (expected one of: {known})"
             )
-        if not math.isfinite(self.weight) or self.weight < 0:
-            raise AnalysisError(
-                f"{where}: weight must be finite and >= 0, "
-                f"got {self.weight!r}"
-            )
+        _check_weight(self.weight, where)
         if not math.isfinite(self.threshold) or self.threshold <= 0:
             raise AnalysisError(
                 f"{where}: threshold must be finite and > 0, "
@@ -160,11 +172,7 @@ class IqbUseCase:
     def validate(self) -> None:
         if not self.name:
             raise AnalysisError("use cases need a non-empty name")
-        if not math.isfinite(self.weight) or self.weight < 0:
-            raise AnalysisError(
-                f"use case {self.name!r}: weight must be finite and >= 0, "
-                f"got {self.weight!r}"
-            )
+        _check_weight(self.weight, f"use case {self.name!r}")
         if not self.requirements:
             raise AnalysisError(
                 f"use case {self.name!r} declares no requirements"

@@ -10,11 +10,21 @@ scale-free distance (the sum of absolute log-ratios over the confounders)
 and accepted in order, skipping candidates whose endpoints were already
 matched. Global greediness avoids the order-dependence of per-unit greedy
 matching and makes results reproducible.
+
+Candidates are enumerated by caliper window, not by testing every
+(control, treatment) cell: the treatment pool is sorted once on its first
+log-confounder, each control row takes only the treatment rows whose first
+log-confounder lies within the caliper of its own (two binary searches),
+and the exact all-confounder test runs on that window alone. The cost is
+``O(n log n + window)`` rather than ``O(n_control * n_treatment)``, and the
+candidate set, distances and acceptance order are those of the exhaustive
+test.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Generic, Sequence, TypeVar
 
@@ -59,8 +69,11 @@ assert LOSS_MATCH_FLOOR >= ZERO_FLOOR, (
     "matcher's own flooring would silently change caliper semantics"
 )
 
-#: Memory budget for one candidate-enumeration block, in float64 cells of
-#: the (chunk, treatment, confounder) difference array (~32 MB).
+#: Memory budget for one candidate-enumeration block, in float64 cells
+#: (~32 MB). A block of control rows expands its caliper windows into at
+#: most ``chunk * n_treatment`` candidates of one cell per confounder, so
+#: dividing the budget by both keeps the worst case (every treatment row
+#: in every window) bounded; typical windows are a small fraction of it.
 CANDIDATE_CELL_BUDGET = 4_000_000
 
 
@@ -71,10 +84,11 @@ def candidate_chunk_rows(
 ) -> int:
     """Control rows per candidate-enumeration block.
 
-    The block materializes a ``(chunk, n_treatment, n_confounders)``
-    difference array, so the budget must be divided by *both* trailing
-    dimensions — dividing by the treatment count alone would let peak
-    memory grow ``n_confounders``-fold past the bound.
+    A block's caliper windows can hold up to ``chunk * n_treatment``
+    candidates with ``n_confounders`` difference cells each, so the
+    budget must be divided by *both* — dividing by the treatment count
+    alone would let peak memory grow ``n_confounders``-fold past the
+    bound.
     """
     cells_per_row = max(1, n_treatment) * max(1, n_confounders)
     return max(1, cell_budget // cells_per_row)
@@ -179,7 +193,7 @@ def match_pairs(
         Maximum relative difference per confounder (default 25%).
     max_pairs:
         Optional cap on the number of accepted pairs (cheapest-distance
-        pairs are kept).
+        pairs are kept); ``None`` or an integer >= 0.
     """
 
     def _columns(units: Sequence) -> list[np.ndarray]:
@@ -219,6 +233,14 @@ def match_pairs_arrays(
     """
     if caliper <= 0:
         raise MatchingError(f"caliper must be positive, got {caliper}")
+    if max_pairs is not None and (
+        isinstance(max_pairs, bool)
+        or not isinstance(max_pairs, numbers.Integral)
+        or max_pairs < 0
+    ):
+        raise MatchingError(
+            f"max_pairs must be None or an integer >= 0, got {max_pairs!r}"
+        )
     if not control_confounders or not treatment_confounders:
         raise MatchingError("at least one confounder is required")
     if len(control_confounders) != len(treatment_confounders):
@@ -280,26 +302,46 @@ def _greedy_index_pairs(
     makes the result a pure function of the matrices: exact distance
     ties go to the lower pool index, so pool order decides them.
     """
-    limit = math.log(1.0 + caliper)
+    bound = math.log(1.0 + caliper) + 1e-12
     n_control, n_confounders = log_c.shape
     n_treatment = log_t.shape[0]
 
-    # Enumerate caliper-compatible candidate pairs in chunks of control rows
-    # so peak memory stays bounded for large pools.
+    # Candidates lie in a window of the treatment pool sorted on the
+    # first log-confounder. The window is 1e-9 wider than the exact test:
+    # log values of finite doubles are below 710 in magnitude, so the
+    # rounding of ``c0 ± window`` (< 1e-13) can never drop a candidate,
+    # and the exact test below removes the extras.
+    t_order = np.argsort(log_t[:, 0], kind="stable")
+    t_first = log_t[t_order, 0]
+    window = bound + 1e-9
+
+    # A chunk's windows expand to at most chunk * n_treatment candidates
+    # of n_confounders cells each, so the cell budget still bounds memory.
     chunk = candidate_chunk_rows(n_treatment, n_confounders)
     ci_parts: list[np.ndarray] = []
     ti_parts: list[np.ndarray] = []
     dist_parts: list[np.ndarray] = []
     for start in range(0, n_control, chunk):
         block = log_c[start : start + chunk]
-        # |log a - log b| per (control, treatment, confounder).
-        diff = np.abs(block[:, None, :] - log_t[None, :, :])
-        compatible = np.all(diff <= limit + 1e-12, axis=2)
-        rows, cols = np.nonzero(compatible)
-        if rows.size:
-            ci_parts.append(rows + start)
-            ti_parts.append(cols)
-            dist_parts.append(diff.sum(axis=2)[rows, cols])
+        lo = np.searchsorted(t_first, block[:, 0] - window, side="left")
+        hi = np.searchsorted(t_first, block[:, 0] + window, side="right")
+        counts = hi - lo
+        total = int(counts.sum())
+        if not total:
+            continue
+        rows = np.repeat(np.arange(block.shape[0]), counts)
+        # Position of each candidate in the sorted pool: its window's
+        # start plus its offset within the window.
+        ends = np.cumsum(counts)
+        sorted_pos = np.arange(total) + np.repeat(lo - (ends - counts), counts)
+        cols = t_order[sorted_pos]
+        # |log a - log b| per (candidate, confounder).
+        diff = np.abs(block[rows] - log_t[cols])
+        compatible = np.all(diff <= bound, axis=1)
+        if compatible.any():
+            ci_parts.append(rows[compatible] + start)
+            ti_parts.append(cols[compatible])
+            dist_parts.append(diff.sum(axis=1)[compatible])
     if not ci_parts:
         return [], 0
     ci = np.concatenate(ci_parts)
@@ -307,17 +349,24 @@ def _greedy_index_pairs(
     pair_distance = np.concatenate(dist_parts)
     order = np.lexsort((ti, ci, pair_distance))
 
-    used_control = np.zeros(n_control, dtype=bool)
-    used_treatment = np.zeros(n_treatment, dtype=bool)
+    # Nothing can be accepted once the smaller pool is used up.
+    target = min(n_control, n_treatment)
+    if max_pairs is not None:
+        target = min(target, max_pairs)
+    used_control = bytearray(n_control)
+    used_treatment = bytearray(n_treatment)
     accepted: list[tuple[int, int, float]] = []
-    budget = ci.size if max_pairs is None else max_pairs
-    for idx in order:
-        if len(accepted) >= budget:
-            break
-        c, t = int(ci[idx]), int(ti[idx])
-        if used_control[c] or used_treatment[t]:
-            continue
-        used_control[c] = True
-        used_treatment[t] = True
-        accepted.append((c, t, float(pair_distance[idx])))
+    if target:
+        for c, t, dist in zip(
+            ci[order].tolist(),
+            ti[order].tolist(),
+            pair_distance[order].tolist(),
+        ):
+            if used_control[c] or used_treatment[t]:
+                continue
+            used_control[c] = 1
+            used_treatment[t] = 1
+            accepted.append((c, t, dist))
+            if len(accepted) == target:
+                break
     return accepted, int(ci.size)

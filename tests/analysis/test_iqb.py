@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.iqb import (
@@ -126,7 +127,8 @@ dirty_metrics = st.tuples(
 @st.composite
 def iqb_configs(draw) -> IqbConfig:
     """Random valid configs: 1-3 use cases, unique metrics per case,
-    at least one positive weight at every level."""
+    at least one positive weight at every level. Weights are never
+    subnormal, which the config validation rejects."""
     use_cases = []
     for i in range(draw(st.integers(min_value=1, max_value=3))):
         metrics = draw(st.permutations(METRICS))
@@ -136,7 +138,9 @@ def iqb_configs(draw) -> IqbConfig:
             weight = draw(
                 st.floats(min_value=0.5, max_value=8.0)
                 if j == 0
-                else st.floats(min_value=0.0, max_value=8.0)
+                else st.floats(
+                    min_value=0.0, max_value=8.0, allow_subnormal=False
+                )
             )
             threshold = draw(
                 st.floats(min_value=0.0001, max_value=0.5)
@@ -147,7 +151,9 @@ def iqb_configs(draw) -> IqbConfig:
         case_weight = draw(
             st.floats(min_value=0.5, max_value=5.0)
             if i == 0
-            else st.floats(min_value=0.0, max_value=5.0)
+            else st.floats(
+                min_value=0.0, max_value=5.0, allow_subnormal=False
+            )
         )
         use_cases.append(
             IqbUseCase(f"case-{i}", case_weight, tuple(requirements))
@@ -200,13 +206,41 @@ class TestScoringProperties:
         scale=st.floats(min_value=0.01, max_value=100.0),
     )
     @settings(max_examples=120, deadline=None)
+    @example(
+        # A positive weight that rescales into the subnormal range: it
+        # must be rejected, never underflow to 0 and flip ``ready``.
+        values=(20.0, 5.0, 50.0, 0.002),
+        config=IqbConfig(
+            name="tiny-weight",
+            use_cases=(
+                IqbUseCase(
+                    "case-0",
+                    1.0,
+                    (
+                        IqbRequirement("download_mbps", 1.0, 10.0),
+                        IqbRequirement("latency_ms", sys.float_info.min, 10.0),
+                    ),
+                ),
+            ),
+        ),
+        scale=0.5,
+    )
     def test_weight_rescaling_invariance(self, values, config, scale):
-        """Multiplying every weight by one constant changes nothing."""
+        """Multiplying every weight by one constant changes nothing —
+        or, when a positive weight lands below the smallest normal
+        float, the rescaled config is rejected outright."""
         payload = config.to_payload()
+        weights = []
         for case in payload["use_cases"].values():
             case["weight"] *= scale
+            weights.append(case["weight"])
             for requirement in case["requirements"].values():
                 requirement["weight"] *= scale
+                weights.append(requirement["weight"])
+        if any(0 < w < sys.float_info.min for w in weights):
+            with pytest.raises(AnalysisError, match="weight"):
+                IqbConfig.from_payload(payload)
+            return
         rescaled = IqbConfig.from_payload(payload)
         record = make_record(*values)
         base = score_record(record, config)
@@ -375,6 +409,29 @@ class TestConfigValidation:
             IqbConfig.from_payload(payload)
         assert "video streaming" in str(error.value)
         assert "download_mbps" in str(error.value)
+
+    def test_subnormal_weights_rejected(self):
+        # 5e-324 times 0.5 underflows to 0: accepted, such a weight let
+        # rescaling silently drop a requirement and flip ``ready``.
+        tiny = 5e-324
+        payload = self.payload()
+        payload["use_cases"]["web browsing"]["requirements"]["latency_ms"][
+            "weight"
+        ] = tiny
+        with pytest.raises(AnalysisError) as error:
+            IqbConfig.from_payload(payload)
+        assert "web browsing" in str(error.value)
+        assert "latency_ms" in str(error.value)
+        payload = self.payload()
+        payload["use_cases"]["audio streaming"]["weight"] = tiny
+        with pytest.raises(AnalysisError, match="audio streaming"):
+            IqbConfig.from_payload(payload)
+
+    def test_smallest_normal_weight_accepted(self):
+        payload = self.payload()
+        payload["use_cases"]["audio streaming"]["weight"] = sys.float_info.min
+        config = IqbConfig.from_payload(payload)
+        assert config.to_payload() == payload
 
     def test_bad_use_case_weight_names_use_case(self):
         payload = self.payload()

@@ -2,10 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import matching
 from repro.exceptions import MatchingError
+
+from .matching_oracle import dense_greedy_index_pairs
 
 
 class TestCaliperCompatible:
@@ -377,3 +382,170 @@ class TestMatchPairsArrays:
     def test_no_confounders_rejected(self):
         with pytest.raises(MatchingError):
             matching.match_pairs_arrays([], [])
+
+
+class TestMaxPairsValidation:
+    """``max_pairs`` is ``None`` or an integer >= 0, checked up front
+    like the caliper: a negative cap used to return no pairs silently,
+    and a fractional one was accepted."""
+
+    POOL = [np.array([1.0, 2.0, 3.0])]
+
+    @pytest.mark.parametrize("bad", [-1, -5, 2.5, 1.0, "3", True])
+    def test_invalid_max_pairs_rejected(self, bad):
+        with pytest.raises(MatchingError, match="max_pairs"):
+            matching.match_pairs_arrays(self.POOL, self.POOL, max_pairs=bad)
+        with pytest.raises(MatchingError, match="max_pairs"):
+            matching.match_pairs(
+                [{"v": 1.0}], [{"v": 1.0}], [by_value], max_pairs=bad
+            )
+
+    @pytest.mark.parametrize("cap", [0, 2, np.int64(2), 10])
+    def test_valid_max_pairs_accepted(self, cap):
+        summary = matching.match_pairs_arrays(
+            self.POOL, self.POOL, max_pairs=cap
+        )
+        assert summary.n_matched == min(int(cap), 3)
+
+
+# ---------------------------------------------------------------------------
+# The caliper-window core against the dense oracle
+# ---------------------------------------------------------------------------
+
+#: Values the property suite draws confounders from: a quarter grid (so
+#: exact ratios such as 5/4 and exact distance ties recur), the zero and
+#: loss floors with neighbours either side of the caliper, and a few
+#: magnitudes far apart.
+_PALETTE = np.array(
+    [i / 4 for i in range(17)]
+    + [
+        matching.ZERO_FLOOR / 10,
+        matching.ZERO_FLOOR,
+        matching.ZERO_FLOOR * 1.25,
+        matching.ZERO_FLOOR * 1.26,
+        matching.LOSS_MATCH_FLOOR,
+        matching.LOSS_MATCH_FLOOR * 1.1,
+        matching.LOSS_MATCH_FLOOR * 1.25,
+        matching.LOSS_MATCH_FLOOR * 1.5,
+        1e3,
+        1.2e3,
+        1e6,
+    ]
+)
+
+
+def _log_matrix(values: np.ndarray) -> np.ndarray:
+    return np.log(np.maximum(values, matching.ZERO_FLOOR)).reshape(
+        values.shape
+    )
+
+
+def _triples(result):
+    accepted, n_candidates = result
+    return (
+        [(c, t, np.float64(d).tobytes()) for c, t, d in accepted],
+        n_candidates,
+    )
+
+
+def _assert_matches_oracle(log_c, log_t, caliper, max_pairs=None):
+    window = matching._greedy_index_pairs(log_c, log_t, caliper, max_pairs)
+    dense = dense_greedy_index_pairs(log_c, log_t, caliper, max_pairs)
+    assert _triples(window) == _triples(dense)
+    return window
+
+
+class TestWindowCoreMatchesDenseOracle:
+    """The window core returns the dense oracle's pairs, bit-identical
+    distances and candidate count, on every pool."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.integers(min_value=1, max_value=5),
+        n_control=st.integers(min_value=0, max_value=80),
+        n_treatment=st.integers(min_value=0, max_value=80),
+        palette_size=st.integers(min_value=1, max_value=len(_PALETTE)),
+        caliper=st.sampled_from([0.1, 0.25, 0.5]),
+        max_pairs=st.none() | st.integers(min_value=0, max_value=90),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pairs_distances_and_candidates_identical(
+        self, seed, k, n_control, n_treatment, palette_size, caliper,
+        max_pairs,
+    ):
+        rng = np.random.default_rng(seed)
+        # A small palette per example makes duplicate rows and exact
+        # distance ties common.
+        palette = rng.choice(_PALETTE, size=palette_size, replace=False)
+        log_c = _log_matrix(rng.choice(palette, size=(n_control, k)))
+        log_t = _log_matrix(rng.choice(palette, size=(n_treatment, k)))
+        _assert_matches_oracle(log_c, log_t, caliper, max_pairs)
+
+    @pytest.mark.parametrize("low,high", [(1.0, 1.25), (4.0, 5.0), (8.0, 10.0)])
+    def test_ratio_of_exactly_one_and_a_quarter(self, low, high):
+        log_c = _log_matrix(np.array([[low], [high]]))
+        log_t = _log_matrix(np.array([[high], [low]]))
+        accepted, n_candidates = _assert_matches_oracle(log_c, log_t, 0.25)
+        assert n_candidates == 4
+        assert len(accepted) == 2
+
+    @pytest.mark.parametrize("origin", [0.0, 3.7, -13.8, 690.0])
+    def test_one_ulp_either_side_of_the_bound(self, origin):
+        bound = math.log(1.25) + 1e-12
+        below = np.nextafter(bound, -np.inf)
+        above = np.nextafter(bound, np.inf)
+        offsets = np.array([below, bound, above, -below, -bound, -above])
+        log_c = np.array([[origin]])
+        log_t = (origin + offsets).reshape(-1, 1)
+        _, n_candidates = _assert_matches_oracle(log_c, log_t, 0.25)
+        if origin == 0.0:
+            # Exact differences: the bound is inclusive, one ulp past it
+            # is out, on both sides.
+            assert n_candidates == 4
+        # The bound on the first confounder is the window edge; a second
+        # confounder at the same offsets exercises the exact test there.
+        log_c2 = np.array([[origin, origin]])
+        log_t2 = np.column_stack([np.full(offsets.size, origin), log_t[:, 0]])
+        _assert_matches_oracle(log_c2, log_t2, 0.25)
+
+    @pytest.mark.parametrize(
+        "control,treatment",
+        [
+            ("0x1.14c3d029032cdp-2", "0x1.82208f614faebp-5"),
+            ("-0x1.b541b4fca1f92p-3", "0x1.3bdc77d1074d1p-7"),
+        ],
+    )
+    def test_candidate_just_outside_the_rounded_edge(self, control, treatment):
+        # The treatment value lies one ulp past the rounded ``c0 -+ bound``,
+        # yet the rounded difference passes the exact test: a window
+        # without its margin would drop this candidate.
+        bound = math.log(1.25) + 1e-12
+        c0, t0 = float.fromhex(control), float.fromhex(treatment)
+        assert not (c0 - bound <= t0 <= c0 + bound)
+        assert abs(c0 - t0) <= bound
+        _, n_candidates = _assert_matches_oracle(
+            np.array([[c0]]), np.array([[t0]]), 0.25
+        )
+        assert n_candidates == 1
+
+    def test_all_identical_pool(self):
+        # Every treatment row lies in every window: the dense worst case.
+        log_c = _log_matrix(np.full((60, 3), 2.0))
+        log_t = _log_matrix(np.full((70, 3), 2.0))
+        accepted, n_candidates = _assert_matches_oracle(log_c, log_t, 0.25)
+        assert n_candidates == 60 * 70
+        assert [(c, t) for c, t, _ in accepted] == [(i, i) for i in range(60)]
+
+    def test_five_confounder_pools_in_chunks_of_three(self, monkeypatch):
+        control, treatment, extractors = _five_confounder_pools(60)
+        log_c = _log_matrix(
+            np.array([[e(u) for e in extractors] for u in control])
+        )
+        log_t = _log_matrix(
+            np.array([[e(u) for e in extractors] for u in treatment])
+        )
+        monkeypatch.setattr(
+            matching, "candidate_chunk_rows", lambda *args, **kwargs: 3
+        )
+        accepted, n_candidates = _assert_matches_oracle(log_c, log_t, 0.25)
+        assert n_candidates > len(accepted) > 0
