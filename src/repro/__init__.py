@@ -33,7 +33,6 @@ from .core import (
     NaturalExperiment,
     PairedOutcome,
     binomial_test_greater,
-    capacity_class,
     demand_summary,
     match_pairs,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "__version__",
     "binomial_test_greater",
     "build_world",
-    "capacity_class",
     "demand_summary",
     "match_pairs",
 ]

@@ -7,15 +7,12 @@ reproduction can be eyeballed line by line.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..core.experiments import ExperimentResult
 from .common import BinnedCurve, MatchedExperimentResult
 
 __all__ = [
     "format_curve",
     "format_experiment_row",
-    "format_paper_vs_measured",
 ]
 
 
@@ -51,22 +48,3 @@ def format_curve(title: str, curve: BinnedCurve) -> str:
         )
     return "\n".join(lines)
 
-
-def format_paper_vs_measured(
-    title: str,
-    rows: Sequence[tuple[str, float, float]],
-    as_percent: bool = False,
-) -> str:
-    """Generic (statistic, paper, measured) table."""
-    lines = [title]
-    for label, paper, measured in rows:
-        if as_percent:
-            lines.append(
-                f"  {label:<44} paper {100 * paper:6.1f}%   "
-                f"measured {100 * measured:6.1f}%"
-            )
-        else:
-            lines.append(
-                f"  {label:<44} paper {paper:10.3f}   measured {measured:10.3f}"
-            )
-    return "\n".join(lines)

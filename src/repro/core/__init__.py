@@ -2,18 +2,17 @@
 
 This package implements the statistical machinery of Bischof et al. (IMC'14):
 
-* :mod:`repro.core.stats` — exact one-tailed binomial tests, correlation,
-  confidence intervals and empirical CDFs;
+* :mod:`repro.core.stats` — exact one-tailed binomial tests, Pearson
+  correlation, confidence intervals and empirical CDFs;
 * :mod:`repro.core.binning` — the paper's exponential capacity classes and
   the various tier/price/quality bins used throughout the evaluation;
-* :mod:`repro.core.metrics` — mean and peak (95th-percentile) demand and
-  link-utilization summaries;
+* :mod:`repro.core.metrics` — mean and peak (95th-percentile) demand;
 * :mod:`repro.core.matching` — nearest-neighbor matching with a relative
   caliper, used to pair "similar" users across treatment groups;
 * :mod:`repro.core.experiments` — the natural-experiment study design
   (hypothesis, %-holds, p-value, practical-significance margin);
-* :mod:`repro.core.upgrades` — detection of per-user service switches and
-  before/after demand deltas;
+* :mod:`repro.core.upgrades` — per-user service periods and the
+  slow/fast network pairing of the upgrade experiment;
 * :mod:`repro.core.regression` — per-market price~capacity regression used
   to estimate the cost of increasing capacity;
 * :mod:`repro.core.executor` — deterministic sharded execution across
@@ -25,16 +24,14 @@ from .binning import (
     CASE_STUDY_TIERS,
     Bin,
     BinSpec,
-    capacity_class,
     capacity_class_bounds,
     capacity_class_spec,
     explicit_bins,
-    geometric_bins,
 )
 from .executor import resolve_jobs, run_sharded
 from .experiments import ExperimentResult, NaturalExperiment, PairedOutcome
-from .matching import MatchedPair, MatchingSummary, caliper_compatible, match_pairs
-from .metrics import DemandSummary, demand_summary, peak_demand, utilization
+from .matching import MatchedPair, MatchingSummary, match_pairs
+from .metrics import DemandSummary, demand_summary
 from .qed import QedResult, QuasiExperiment
 from .regression import MarketRegression, fit_price_capacity
 from .stats import (
@@ -45,10 +42,9 @@ from .stats import (
     mean_confidence_interval,
     pearson_r,
     percentile,
-    spearman_r,
     wilson_interval,
 )
-from .upgrades import ServiceSwitch, UpgradeObservation, detect_switches
+from .upgrades import UpgradeObservation
 
 __all__ = [
     "CAPACITY_CLASS_BASE_MBPS",
@@ -66,27 +62,19 @@ __all__ = [
     "PairedOutcome",
     "QedResult",
     "QuasiExperiment",
-    "ServiceSwitch",
     "UpgradeObservation",
     "binomial_test_greater",
-    "caliper_compatible",
-    "capacity_class",
     "capacity_class_bounds",
     "capacity_class_spec",
     "demand_summary",
-    "detect_switches",
     "ecdf",
     "explicit_bins",
     "fit_price_capacity",
-    "geometric_bins",
     "match_pairs",
     "mean_confidence_interval",
-    "peak_demand",
     "pearson_r",
     "percentile",
     "resolve_jobs",
     "run_sharded",
-    "spearman_r",
-    "utilization",
     "wilson_interval",
 ]

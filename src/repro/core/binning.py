@@ -29,11 +29,9 @@ __all__ = [
     "UPGRADE_TIERS_MBPS",
     "Bin",
     "BinSpec",
-    "capacity_class",
     "capacity_class_bounds",
     "capacity_class_spec",
     "explicit_bins",
-    "geometric_bins",
 ]
 
 #: Base of the paper's capacity classes: 100 kbps, expressed in Mbps.
@@ -205,41 +203,6 @@ class BinSpec:
 def explicit_bins(edges: Sequence[tuple[float, float]]) -> BinSpec:
     """Build a :class:`BinSpec` from explicit ``(low, high)`` edge pairs."""
     return BinSpec([Bin(low, high) for low, high in edges])
-
-
-def geometric_bins(base: float, count: int, ratio: float = 2.0) -> BinSpec:
-    """``count`` geometric bins ``(base*ratio^(k-1), base*ratio^k]``, k=1..count."""
-    if base <= 0 or ratio <= 1 or count < 1:
-        raise BinningError(
-            f"invalid geometric bin spec base={base} ratio={ratio} count={count}"
-        )
-    return BinSpec(
-        [Bin(base * ratio ** (k - 1), base * ratio**k) for k in range(1, count + 1)]
-    )
-
-
-def capacity_class(capacity_mbps: float) -> int:
-    """The paper's capacity class ``k`` for a download capacity in Mbps.
-
-    Class ``k`` covers ``(100 kbps * 2^(k-1), 100 kbps * 2^k]``; capacities
-    at or below 100 kbps fall in class 1 by convention (the paper's datasets
-    contain essentially no sub-100 kbps broadband users).
-    """
-    if capacity_mbps <= 0:
-        raise BinningError(f"capacity must be positive, got {capacity_mbps}")
-    ratio = capacity_mbps / CAPACITY_CLASS_BASE_MBPS
-    if ratio <= 1.0:
-        return 1
-    k = max(1, math.ceil(math.log2(ratio)))
-    # log2 rounds edge-adjacent values (within an ulp of a class edge) onto
-    # the edge itself, so repair the estimate against the exact bounds the
-    # bins use; this keeps capacity_class consistent with
-    # capacity_class_bounds / BinSpec membership at every edge.
-    while capacity_mbps > CAPACITY_CLASS_BASE_MBPS * 2**k:
-        k += 1
-    while k > 1 and capacity_mbps <= CAPACITY_CLASS_BASE_MBPS * 2 ** (k - 1):
-        k -= 1
-    return k
 
 
 def capacity_class_bounds(k: int) -> Bin:

@@ -18,7 +18,7 @@ Two safeguards from the paper are built in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..exceptions import ExperimentError
 from .stats import BinomialTestResult, binomial_test_greater
@@ -163,19 +163,4 @@ class NaturalExperiment:
             p_value=test.p_value,
             alpha=self.alpha,
             practical_margin=self.practical_margin,
-        )
-
-    def evaluate_values(
-        self,
-        control_values: Sequence[float],
-        treatment_values: Sequence[float],
-    ) -> ExperimentResult:
-        """Convenience wrapper taking parallel control/treatment sequences."""
-        if len(control_values) != len(treatment_values):
-            raise ExperimentError(
-                "control and treatment sequences must have equal length"
-            )
-        return self.evaluate(
-            PairedOutcome(c, t)
-            for c, t in zip(control_values, treatment_values)
         )

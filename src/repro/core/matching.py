@@ -39,7 +39,6 @@ __all__ = [
     "MatchedPair",
     "MatchingSummary",
     "ZERO_FLOOR",
-    "caliper_compatible",
     "candidate_chunk_rows",
     "match_pairs",
     "match_pairs_arrays",
@@ -76,6 +75,9 @@ assert LOSS_MATCH_FLOOR >= ZERO_FLOOR, (
 #: in every window) bounded; typical windows are a small fraction of it.
 CANDIDATE_CELL_BUDGET = 4_000_000
 
+#: Ranked candidates handed to the accept loop per ``.tolist()`` slice.
+ACCEPT_SLICE = 1 << 18
+
 
 def candidate_chunk_rows(
     n_treatment: int,
@@ -92,37 +94,6 @@ def candidate_chunk_rows(
     """
     cells_per_row = max(1, n_treatment) * max(1, n_confounders)
     return max(1, cell_budget // cells_per_row)
-
-
-def caliper_compatible(a: float, b: float, caliper: float = DEFAULT_CALIPER) -> bool:
-    """Whether two confounder values are within ``caliper`` of each other.
-
-    "Within 25% of each other" is interpreted multiplicatively and
-    symmetrically: ``max(a, b) <= (1 + caliper) * min(a, b)``, after flooring
-    both values at :data:`ZERO_FLOOR` so that pairs of effectively-zero
-    values (e.g. two loss-free lines) are compatible.
-
-    Non-finite confounders are rejected with :class:`MatchingError`
-    rather than silently falling through the comparisons: a NaN here
-    means an upstream eligibility filter failed (missing market
-    covariates surface as NaN — see
-    :func:`repro.analysis.common._market_value` — and must be excluded
-    *before* matching), and an infinity is equally meaningless — two
-    ``inf`` values would satisfy ``inf <= 1.25 * inf`` and "match"
-    despite carrying no information about similarity.
-    """
-    if caliper <= 0:
-        raise MatchingError(f"caliper must be positive, got {caliper}")
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise MatchingError(
-            f"confounders must be finite, got {a}, {b} "
-            "(exclude users with missing covariates before matching)"
-        )
-    if a < 0 or b < 0:
-        raise MatchingError(f"confounders must be non-negative, got {a}, {b}")
-    lo = max(min(a, b), ZERO_FLOOR)
-    hi = max(max(a, b), ZERO_FLOOR)
-    return hi <= (1.0 + caliper) * lo
 
 
 @dataclass(frozen=True)
@@ -146,14 +117,6 @@ class MatchingSummary(Generic[T, U]):
     @property
     def n_matched(self) -> int:
         return len(self.pairs)
-
-    @property
-    def match_rate(self) -> float:
-        """Fraction of the smaller group that found a partner."""
-        smaller = min(self.n_control, self.n_treatment)
-        if smaller == 0:
-            return 0.0
-        return self.n_matched / smaller
 
 
 def _log_confounder_column(values: np.ndarray, label: str) -> np.ndarray:
@@ -316,7 +279,9 @@ def _greedy_index_pairs(
     window = bound + 1e-9
 
     # A chunk's windows expand to at most chunk * n_treatment candidates
-    # of n_confounders cells each, so the cell budget still bounds memory.
+    # of n_confounders cells each, so the cell budget bounds each block's
+    # difference matrix. It does not bound the concatenated candidate
+    # arrays below, which grow with the number of compatible pairs.
     chunk = candidate_chunk_rows(n_treatment, n_confounders)
     ci_parts: list[np.ndarray] = []
     ti_parts: list[np.ndarray] = []
@@ -356,11 +321,14 @@ def _greedy_index_pairs(
     used_control = bytearray(n_control)
     used_treatment = bytearray(n_treatment)
     accepted: list[tuple[int, int, float]] = []
-    if target:
+    # The ranked candidates reach Python one bounded slice at a time, so
+    # the accept loop never holds a list of every candidate.
+    for start in range(0, order.size if target else 0, ACCEPT_SLICE):
+        ranked = order[start : start + ACCEPT_SLICE]
         for c, t, dist in zip(
-            ci[order].tolist(),
-            ti[order].tolist(),
-            pair_distance[order].tolist(),
+            ci[ranked].tolist(),
+            ti[ranked].tolist(),
+            pair_distance[ranked].tolist(),
         ):
             if used_control[c] or used_treatment[t]:
                 continue
@@ -368,5 +336,5 @@ def _greedy_index_pairs(
             used_treatment[t] = 1
             accepted.append((c, t, dist))
             if len(accepted) == target:
-                break
+                return accepted, int(ci.size)
     return accepted, int(ci.size)

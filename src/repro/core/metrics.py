@@ -1,9 +1,9 @@
-"""Demand metrics: mean and peak usage, and link utilization.
+"""Demand metrics: mean and peak usage.
 
 The paper describes user demand with two statistics over the time series of
 downlink throughput samples (one sample per ~30 s for Dasu, hourly for the
 FCC gateways): the **mean** and the **peak**, defined as the 95th percentile
-(Sec. 3.1). Utilization is demand divided by measured link capacity.
+(Sec. 3.1).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from ..exceptions import AnalysisError
 from .stats import percentile
 
-__all__ = ["PEAK_PERCENTILE", "DemandSummary", "demand_summary", "peak_demand", "utilization"]
+__all__ = ["PEAK_PERCENTILE", "DemandSummary", "demand_summary"]
 
 #: The percentile the paper uses for "peak" demand.
 PEAK_PERCENTILE = 95.0
@@ -29,21 +29,6 @@ class DemandSummary:
     mean_mbps: float
     peak_mbps: float
     n_samples: int
-
-    def utilization(self, capacity_mbps: float) -> "UtilizationSummary":
-        """Mean and peak utilization of a link of the given capacity."""
-        return UtilizationSummary(
-            mean=utilization(self.mean_mbps, capacity_mbps),
-            peak=utilization(self.peak_mbps, capacity_mbps),
-        )
-
-
-@dataclass(frozen=True)
-class UtilizationSummary:
-    """Fractions of a link's capacity consumed on average and at peak."""
-
-    mean: float
-    peak: float
 
 
 def demand_summary(rates_mbps: Sequence[float] | np.ndarray) -> DemandSummary:
@@ -64,21 +49,3 @@ def demand_summary(rates_mbps: Sequence[float] | np.ndarray) -> DemandSummary:
         peak_mbps=percentile(arr, PEAK_PERCENTILE),
         n_samples=int(arr.size),
     )
-
-
-def peak_demand(rates_mbps: Sequence[float] | np.ndarray) -> float:
-    """The paper's peak demand: the 95th percentile of the rate series."""
-    return demand_summary(rates_mbps).peak_mbps
-
-
-def utilization(demand_mbps: float, capacity_mbps: float) -> float:
-    """Fraction of the link consumed by ``demand_mbps``, clipped to [0, 1].
-
-    Measured demand can transiently exceed measured capacity (both are
-    noisy); the paper plots utilization on [0, 1], so we clip.
-    """
-    if capacity_mbps <= 0:
-        raise AnalysisError(f"capacity must be positive, got {capacity_mbps}")
-    if demand_mbps < 0:
-        raise AnalysisError(f"demand must be non-negative, got {demand_mbps}")
-    return min(1.0, demand_mbps / capacity_mbps)

@@ -43,14 +43,6 @@ class MarketRegression:
         """Whether the slope is usable as a cost-of-upgrade estimate."""
         return self.correlation > MODERATE_CORRELATION
 
-    @property
-    def strongly_correlated(self) -> bool:
-        return self.correlation > STRONG_CORRELATION
-
-    def predicted_price(self, capacity_mbps: float) -> float:
-        """Price the fit predicts for a plan of the given capacity."""
-        return self.intercept_usd + self.slope_usd_per_mbps * capacity_mbps
-
 
 def fit_price_capacity(
     capacities_mbps: Sequence[float],

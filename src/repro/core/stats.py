@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -23,74 +24,15 @@ __all__ = [
     "binomial_sf",
     "binomial_test_greater",
     "ecdf",
-    "log_binomial_pmf",
     "mean_confidence_interval",
-    "normal_quantile",
     "pearson_r",
     "percentile",
     "regularized_incomplete_beta",
-    "spearman_r",
     "wilson_interval",
 ]
 
 #: z value for a two-sided 95% normal confidence interval.
 Z_95 = 1.959963984540054
-
-# Coefficients of Acklam's rational approximation to the inverse normal
-# CDF, the initial guess that one Halley step below polishes to full
-# double precision.
-_ACKLAM_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_LOW = 0.02425
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF ``Phi^{-1}(p)`` for ``p`` in (0, 1).
-
-    Acklam's rational approximation refined with one Halley step against
-    the exact CDF (via ``erfc``), giving near machine-precision quantiles
-    over the whole open interval — accurate z values for *any*
-    confidence level, not just the paper's 95%.
-    """
-    if not 0.0 < p < 1.0:
-        raise AnalysisError(f"quantile probability must be in (0, 1), got {p}")
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _ACKLAM_LOW:
-        q = p - 0.5
-        r = q * q
-        x = (
-            ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-        ) * q / (
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -(
-            ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        ) / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # One Halley step: e = Phi(x) - p, u = e / phi(x).
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 def _z_for_level(level: float) -> float:
@@ -105,23 +47,7 @@ def _z_for_level(level: float) -> float:
         )
     if level == 0.95:
         return Z_95
-    return normal_quantile(0.5 + level / 2.0)
-
-
-def log_binomial_pmf(k: int, n: int, p: float) -> float:
-    """Natural log of the binomial PMF ``P[X = k]`` for ``X ~ Bin(n, p)``."""
-    if not 0 <= k <= n:
-        raise AnalysisError(f"k={k} outside [0, n={n}]")
-    if not 0.0 <= p <= 1.0:
-        raise AnalysisError(f"p={p} outside [0, 1]")
-    if p == 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
-        return 0.0 if k == n else -math.inf
-    log_choose = (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
-    return log_choose + k * math.log(p) + (n - k) * math.log1p(-p)
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 #: Continued-fraction convergence threshold and iteration cap; 300
@@ -299,9 +225,9 @@ def mean_confidence_interval(
     """Normal-approximation confidence interval for the mean.
 
     The default level matches the error bars of the paper's figures
-    (95% CI of the mean); any level in (0, 1) is supported via
-    :func:`normal_quantile`. A single observation yields a degenerate
-    interval at the value.
+    (95% CI of the mean); any level in (0, 1) is supported via the
+    standard library's ``NormalDist``. A single observation yields a
+    degenerate interval at the value.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -322,7 +248,7 @@ def wilson_interval(
     Used to put uncertainty bands around the "% H holds" figures of the
     natural experiments; unlike the normal approximation it behaves at
     the edges (0%, 100%) and for small pair counts. Any level in (0, 1)
-    is supported via :func:`normal_quantile`.
+    is supported.
     """
     if n_trials <= 0 or n_successes < 0 or n_successes > n_trials:
         raise AnalysisError(
@@ -364,30 +290,6 @@ def pearson_r(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) 
     # When one variable's variance underflows to a subnormal, the
     # division can stray outside the mathematical range; clamp.
     return float(min(1.0, max(-1.0, float(xd @ yd) / denom)))
-
-
-def _ranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with ties sharing the mean rank."""
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def spearman_r(x: Sequence[float] | np.ndarray, y: Sequence[float] | np.ndarray) -> float:
-    """Spearman rank correlation (Pearson correlation of average ranks)."""
-    xs = np.asarray(x, dtype=float)
-    ys = np.asarray(y, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise AnalysisError("spearman_r expects two equal-length 1-D sequences")
-    return pearson_r(_ranks(xs), _ranks(ys))
 
 
 def percentile(values: Sequence[float] | np.ndarray, q: float) -> float:

@@ -1,17 +1,17 @@
-"""Detection of per-user service switches (Sec. 3.2, "User upgrades").
+"""Per-user service upgrades (Sec. 3.2, "User upgrades").
 
 The paper identifies users observed on two networks of different capacities
 — a "slow" and a "fast" network, each identified by the tuple (ISP name,
 network prefix, geolocated city) — and compares the demand the same user
 generated on each. This module provides the data model for a user's stay on
-one service (:class:`ServicePeriod`), switch detection between consecutive
-stays, and the slow/fast pairing used by Table 1 and Figs. 4-5.
+one service (:class:`ServicePeriod`) and the slow/fast pairing used by
+Table 1 and Figs. 4-5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..exceptions import AnalysisError
 
@@ -19,9 +19,7 @@ __all__ = [
     "MIN_CAPACITY_RATIO",
     "NetworkId",
     "ServicePeriod",
-    "ServiceSwitch",
     "UpgradeObservation",
-    "detect_switches",
     "slow_fast_observation",
 ]
 
@@ -77,42 +75,6 @@ class ServicePeriod:
 
 
 @dataclass(frozen=True)
-class ServiceSwitch:
-    """A transition between two consecutive service periods of one user."""
-
-    before: ServicePeriod
-    after: ServicePeriod
-
-    @property
-    def user_id(self) -> str:
-        return self.before.user_id
-
-    @property
-    def capacity_ratio(self) -> float:
-        return self.after.capacity_mbps / self.before.capacity_mbps
-
-    @property
-    def is_upgrade(self) -> bool:
-        return self.capacity_ratio >= MIN_CAPACITY_RATIO
-
-    @property
-    def is_downgrade(self) -> bool:
-        return self.capacity_ratio <= 1.0 / MIN_CAPACITY_RATIO
-
-    def delta_mean(self, include_bt: bool = True) -> float:
-        """Change in average demand (after − before), in Mbps."""
-        if include_bt:
-            return self.after.mean_mbps - self.before.mean_mbps
-        return self.after.mean_no_bt_mbps - self.before.mean_no_bt_mbps
-
-    def delta_peak(self, include_bt: bool = True) -> float:
-        """Change in peak (95th-percentile) demand, in Mbps."""
-        if include_bt:
-            return self.after.peak_mbps - self.before.peak_mbps
-        return self.after.peak_no_bt_mbps - self.before.peak_no_bt_mbps
-
-
-@dataclass(frozen=True)
 class UpgradeObservation:
     """One user's slow-network vs fast-network demand comparison.
 
@@ -128,39 +90,6 @@ class UpgradeObservation:
     @property
     def capacity_ratio(self) -> float:
         return self.fast.capacity_mbps / self.slow.capacity_mbps
-
-
-def detect_switches(
-    periods: Sequence[ServicePeriod],
-    min_capacity_ratio: float = MIN_CAPACITY_RATIO,
-) -> list[ServiceSwitch]:
-    """Find service changes in one user's time-ordered stays.
-
-    Consecutive stays must belong to the same user, be time-ordered, and
-    differ in network identity; a switch is emitted when the capacity ratio
-    between them (either direction) reaches ``min_capacity_ratio``.
-    """
-    if min_capacity_ratio <= 1.0:
-        raise AnalysisError(
-            f"min capacity ratio must exceed 1, got {min_capacity_ratio}"
-        )
-    switches: list[ServiceSwitch] = []
-    for before, after in zip(periods, periods[1:]):
-        if before.user_id != after.user_id:
-            raise AnalysisError(
-                "detect_switches expects periods of a single user; got "
-                f"{before.user_id!r} then {after.user_id!r}"
-            )
-        if after.start_day < before.end_day:
-            raise AnalysisError(
-                f"service periods of {before.user_id!r} overlap in time"
-            )
-        if before.network == after.network:
-            continue
-        ratio = after.capacity_mbps / before.capacity_mbps
-        if ratio >= min_capacity_ratio or ratio <= 1.0 / min_capacity_ratio:
-            switches.append(ServiceSwitch(before, after))
-    return switches
 
 
 def slow_fast_observation(

@@ -62,7 +62,6 @@ from .io import (
     write_users_csv,
     write_users_npy,
 )
-from .records import UserRecord
 from .sanitize import SanitizationReport
 from .world import DasuDataset, FccDataset, World, WorldConfig
 
@@ -135,33 +134,6 @@ def default_cache_root() -> Path:
     return Path.home() / ".cache" / "repro" / "worlds"
 
 
-def _world_from_records(
-    config: WorldConfig,
-    users: list[UserRecord],
-    survey: PlanSurvey,
-    sanitization: SanitizationReport | None = None,
-    ledger: RunLedger | None = None,
-) -> World:
-    """Reassemble a records-only :class:`World` from persisted datasets."""
-    profiles = build_profiles(
-        np.random.default_rng([config.seed, 1]),
-        include_synthetic=config.include_synthetic_countries,
-    )
-    return World(
-        config=config,
-        profiles={p.name: p for p in profiles},
-        survey=survey,
-        dasu=DasuDataset(
-            users=tuple(u for u in users if u.source == "dasu")
-        ),
-        fcc=FccDataset(users=tuple(u for u in users if u.source == "fcc")),
-        ground_truth={},
-        traces={},
-        sanitization=sanitization,
-        ledger=ledger,
-    )
-
-
 def _world_from_columns(
     config: WorldConfig,
     columns: UserColumns,
@@ -169,11 +141,12 @@ def _world_from_columns(
     sanitization: SanitizationReport | None = None,
     ledger: RunLedger | None = None,
 ) -> World:
-    """Reassemble a records-only :class:`World` from a columnar shard.
+    """Reassemble a records-only :class:`World` from columns: the
+    memory-mapped shard, or ``users.csv`` converted once when the shard
+    is missing or invalid.
 
-    Rows keep the builder's order (dasu first), so the datasets are
-    value-identical to the world that was stored; records materialize
-    lazily only for callers that iterate them.
+    Each dataset takes its source's rows in stored order; records
+    materialize lazily only for callers that iterate them.
     """
     profiles = build_profiles(
         np.random.default_rng([config.seed, 1]),
@@ -233,13 +206,14 @@ class WorldCache:
             # Unreadable, truncated, or schema-mismatched entry: a miss.
             return None
         columns = self._load_columns(entry)
-        if columns is not None:
-            return _world_from_columns(config, columns, survey, report, ledger)
-        try:
-            users = read_users_csv(entry / "users.csv")
-        except (ReproError, OSError, ValueError, KeyError, TypeError):
-            return None
-        return _world_from_records(config, users, survey, report, ledger)
+        if columns is None:
+            try:
+                columns = UserColumns.from_records(
+                    read_users_csv(entry / "users.csv")
+                )
+            except (ReproError, OSError, ValueError, KeyError, TypeError):
+                return None
+        return _world_from_columns(config, columns, survey, report, ledger)
 
     def _load_columns(self, entry: Path) -> UserColumns | None:
         """The entry's memory-mapped columnar shard, or ``None`` if it
@@ -388,14 +362,6 @@ class WorldCache:
         sweep_stale_staging(
             self.root, prefix=_STAGING_PREFIX, max_age_s=_STAGING_MAX_AGE_S
         )
-
-    def invalidate(self, config: WorldConfig) -> bool:
-        """Drop the entry for ``config``; returns whether one existed."""
-        entry = self.entry_dir(config)
-        if not entry.exists():
-            return False
-        shutil.rmtree(entry)
-        return True
 
 
 def build_or_load_world(

@@ -87,29 +87,18 @@ class WorldConfig:
 
 
 class _ColumnarDataset:
-    """A dataset held either as records or as columns, deriving the
-    other representation lazily.
+    """A dataset held as :class:`~repro.datasets.columns.UserColumns`.
 
-    The builder and cache hand over :class:`~repro.datasets.columns.
-    UserColumns`; hand-assembled worlds (tests, synthetic fixtures)
-    keep passing record tuples. ``users`` stays the compatibility
-    surface — the long tail of analysis callers iterates it unchanged —
-    while hot paths read ``columns`` directly.
+    The builder, the cache and the append path all hand over columns.
+    ``users`` stays the compatibility surface — the long tail of
+    analysis callers iterates it unchanged, and it materializes records
+    once, lazily — while hot paths read ``columns`` directly.
     """
 
     __slots__ = ("_users", "_columns")
 
-    def __init__(
-        self,
-        users: tuple[UserRecord, ...] | None = None,
-        *,
-        columns: "UserColumns | None" = None,
-    ) -> None:
-        if (users is None) == (columns is None):
-            raise DatasetError(
-                "pass exactly one of users= or columns= to a dataset"
-            )
-        self._users = tuple(users) if users is not None else None
+    def __init__(self, *, columns: "UserColumns") -> None:
+        self._users: tuple[UserRecord, ...] | None = None
         self._columns = columns
 
     @property
@@ -120,17 +109,11 @@ class _ColumnarDataset:
 
     @property
     def columns(self) -> "UserColumns":
-        if self._columns is None:
-            from .columns import UserColumns
-
-            self._columns = UserColumns.from_records(self._users)
         return self._columns
 
     @property
     def n_users(self) -> int:
-        if self._columns is not None:
-            return self._columns.n_users
-        return len(self._users)
+        return self._columns.n_users
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, _ColumnarDataset):
@@ -145,9 +128,6 @@ class DasuDataset(_ColumnarDataset):
     """The simulated Dasu dataset: global, end-host collected."""
 
     __slots__ = ()
-
-    def by_country(self, country: str) -> tuple[UserRecord, ...]:
-        return tuple(u for u in self.users if u.country == country)
 
     @property
     def countries(self) -> tuple[str, ...]:

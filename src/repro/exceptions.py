@@ -11,10 +11,6 @@ class ReproError(Exception):
     """Base class for all errors raised by the :mod:`repro` package."""
 
 
-class UnitError(ReproError, ValueError):
-    """An invalid quantity was supplied (negative rate, zero interval, ...)."""
-
-
 class BinningError(ReproError, ValueError):
     """A value could not be assigned to a bin, or a bin spec is invalid."""
 

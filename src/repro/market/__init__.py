@@ -11,14 +11,10 @@ Numbers" international plan survey) and the IMF macro data provide:
 * :mod:`repro.market.market` — one country's plan market and its derived
   metrics (price of access, cost to upgrade);
 * :mod:`repro.market.survey` — the global plan-survey generator;
-* :mod:`repro.market.affordability` — cross-market affordability metrics.
+* :mod:`repro.market.affordability` — access cost as a share of income.
 """
 
-from .affordability import (
-    cost_of_access_as_income_share,
-    price_of_access_bin,
-    upgrade_cost_bin,
-)
+from .affordability import cost_of_access_as_income_share
 from .currency import Currency, to_usd_ppp
 from .economy import DevelopmentLevel, Economy, Region
 from .market import CountryMarket
@@ -36,7 +32,5 @@ __all__ = [
     "Region",
     "cost_of_access_as_income_share",
     "generate_survey",
-    "price_of_access_bin",
     "to_usd_ppp",
-    "upgrade_cost_bin",
 ]

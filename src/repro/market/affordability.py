@@ -1,52 +1,17 @@
-"""Cross-market affordability metrics (Secs. 5-6 of the paper).
+"""Cross-market affordability (Table 4 of the paper).
 
-Helpers that place a market into the paper's price-of-access groups
-(< $25, $25-60, > $60 per month) and cost-of-upgrade classes
-(<= $0.50, $0.50-1.00, > $1.00 per +1 Mbps), plus the Table 4 metric of
-access cost as a share of monthly GDP per capita.
+The Table 4 metric of access cost as a share of monthly GDP per capita.
+The paper's price-of-access groups (< $25, $25-60, > $60 per month) and
+cost-of-upgrade classes (<= $0.50, $0.50-1.00, > $1.00 per +1 Mbps) are
+bin specs in :mod:`repro.core.binning`.
 """
 
 from __future__ import annotations
 
-from ..core.binning import (
-    PRICE_OF_ACCESS_BINS_USD,
-    UPGRADE_COST_BINS_USD,
-    Bin,
-    explicit_bins,
-)
 from ..exceptions import MarketError
 from .economy import Economy
 
-__all__ = [
-    "cost_of_access_as_income_share",
-    "price_of_access_bin",
-    "upgrade_cost_bin",
-]
-
-_PRICE_BINS = explicit_bins(PRICE_OF_ACCESS_BINS_USD)
-_UPGRADE_BINS = explicit_bins(UPGRADE_COST_BINS_USD)
-
-
-def price_of_access_bin(monthly_price_usd_ppp: float) -> Bin:
-    """The Sec. 5 price-of-access group a monthly price falls into."""
-    if monthly_price_usd_ppp <= 0:
-        raise MarketError(
-            f"price must be positive, got {monthly_price_usd_ppp}"
-        )
-    found = _PRICE_BINS.bin_of(monthly_price_usd_ppp)
-    assert found is not None  # the last bin is unbounded
-    return found
-
-
-def upgrade_cost_bin(cost_usd_per_mbps: float) -> Bin:
-    """The Sec. 6 cost-of-upgrade class a market slope falls into."""
-    if cost_usd_per_mbps <= 0:
-        raise MarketError(
-            f"upgrade cost must be positive, got {cost_usd_per_mbps}"
-        )
-    found = _UPGRADE_BINS.bin_of(cost_usd_per_mbps)
-    assert found is not None  # the last bin is unbounded
-    return found
+__all__ = ["cost_of_access_as_income_share"]
 
 
 def cost_of_access_as_income_share(

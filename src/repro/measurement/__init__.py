@@ -4,11 +4,11 @@ Each module mirrors one collection channel of the paper's datasets:
 
 * :mod:`repro.measurement.ndt` — M-Lab NDT-style performance tests
   (capacity, end-to-end latency, packet loss);
-* :mod:`repro.measurement.upnp` — UPnP gateway byte counters, including
-  the 32-bit wrap and reset artifacts the paper's citations warn about,
-  and their correction;
-* :mod:`repro.measurement.netstat` — host byte counters for users
-  directly connected to their modem;
+* :mod:`repro.measurement.upnp` — decoding of UPnP gateway byte-counter
+  readings, including the 32-bit wrap and reset artifacts the paper's
+  citations warn about;
+* :mod:`repro.measurement.netstat` — decoding of host byte counters for
+  users directly connected to their modem;
 * :mod:`repro.measurement.dasu` — the Dasu end-host client: ~30 s counter
   sampling while the client is online (peak-hour biased), BitTorrent
   activity flags;
@@ -21,8 +21,7 @@ Each module mirrors one collection channel of the paper's datasets:
 from .dasu import DasuClient, DasuVantage, SampledUsage
 from .gateway import FccGateway
 from .ndt import NdtClient, NdtResult
-from .netstat import NetstatCounter
-from .upnp import UpnpCounter, deltas_from_readings
+from .upnp import deltas_from_readings
 from .web_latency import WebLatencyProber
 
 __all__ = [
@@ -31,9 +30,7 @@ __all__ = [
     "FccGateway",
     "NdtClient",
     "NdtResult",
-    "NetstatCounter",
     "SampledUsage",
-    "UpnpCounter",
     "WebLatencyProber",
     "deltas_from_readings",
 ]

@@ -11,40 +11,11 @@ import numpy as np
 
 from ..exceptions import MeasurementError
 
-__all__ = [
-    "REBOOT_PROBABILITY_PER_READ",
-    "NetstatCounter",
-    "deltas_from_netstat",
-]
+__all__ = ["REBOOT_PROBABILITY_PER_READ", "deltas_from_netstat"]
 
 #: Chance per read that the host has rebooted and its interface
 #: counters restarted from zero.
 REBOOT_PROBABILITY_PER_READ = 0.0002
-
-
-class NetstatCounter:
-    """A 64-bit cumulative interface byte counter."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        reboot_probability_per_read: float = REBOOT_PROBABILITY_PER_READ,
-    ) -> None:
-        if not 0.0 <= reboot_probability_per_read < 1.0:
-            raise MeasurementError("reboot probability must be a fraction")
-        self._rng = rng
-        self._reboot_probability = reboot_probability_per_read
-        self._value = 0
-
-    def advance(self, n_bytes: int) -> None:
-        if n_bytes < 0:
-            raise MeasurementError("cannot advance a counter backwards")
-        self._value += int(n_bytes)
-
-    def read(self) -> int:
-        if self._rng.random() < self._reboot_probability:
-            self._value = 0
-        return self._value
 
 
 def deltas_from_netstat(readings: np.ndarray) -> np.ndarray:

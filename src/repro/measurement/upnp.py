@@ -3,8 +3,9 @@
 Dasu reads WAN byte counters from UPnP-enabled home gateways. Real UPnP
 counters are notorious (DiCioccio et al., PAM'12 — the paper's citation
 [11]): they are 32-bit and wrap every 4 GiB, and they reset to zero when
-the gateway reboots. This module simulates the raw counter and provides
-the correction used when turning readings into traffic volumes.
+the gateway reboots. This module holds the reset rate the Dasu client
+simulates and the correction used when turning readings into traffic
+volumes.
 """
 
 from __future__ import annotations
@@ -14,39 +15,11 @@ import numpy as np
 from ..exceptions import MeasurementError
 from ..units import UINT32_WRAP
 
-__all__ = ["RESET_PROBABILITY_PER_READ", "UpnpCounter", "deltas_from_readings"]
+__all__ = ["RESET_PROBABILITY_PER_READ", "deltas_from_readings"]
 
 #: Chance per read that the gateway has rebooted and the counter
 #: restarted from zero (matches DiCioccio et al.'s reported reset rates).
 RESET_PROBABILITY_PER_READ = 0.0005
-
-
-class UpnpCounter:
-    """A 32-bit cumulative WAN byte counter with reboot resets."""
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        reset_probability_per_read: float = RESET_PROBABILITY_PER_READ,
-    ) -> None:
-        if not 0.0 <= reset_probability_per_read < 1.0:
-            raise MeasurementError("reset probability must be a fraction")
-        self._rng = rng
-        self._reset_probability = reset_probability_per_read
-        # Gateways have usually been up a while: start mid-range.
-        self._value = int(rng.integers(0, UINT32_WRAP))
-
-    def advance(self, n_bytes: int) -> None:
-        """Account ``n_bytes`` of WAN traffic."""
-        if n_bytes < 0:
-            raise MeasurementError("cannot advance a counter backwards")
-        self._value = (self._value + int(n_bytes)) % UINT32_WRAP
-
-    def read(self) -> int:
-        """Read the counter; the gateway occasionally reboots to zero."""
-        if self._rng.random() < self._reset_probability:
-            self._value = 0
-        return self._value
 
 
 def deltas_from_readings(readings: np.ndarray) -> np.ndarray:

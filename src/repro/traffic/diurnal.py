@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["EVENING_PEAK_HOUR", "NIGHT_FLOOR", "diurnal_weight", "mean_diurnal_weight"]
+__all__ = ["EVENING_PEAK_HOUR", "NIGHT_FLOOR", "diurnal_weight"]
 
 #: Local hour of the evening activity peak.
 EVENING_PEAK_HOUR = 20.5
@@ -47,8 +47,3 @@ def diurnal_weight(hour: float | np.ndarray) -> np.ndarray | float:
         return float(raw)
     return raw
 
-
-def mean_diurnal_weight() -> float:
-    """Average of the diurnal weight over a full day."""
-    hours = np.linspace(0.0, 24.0, 24 * 60, endpoint=False)
-    return float(np.mean(diurnal_weight(hours)))

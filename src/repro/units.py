@@ -14,8 +14,6 @@ Conventions used everywhere in :mod:`repro`:
 
 from __future__ import annotations
 
-from .exceptions import UnitError
-
 BITS_PER_BYTE = 8
 BITS_PER_KILOBIT = 1_000
 BITS_PER_MEGABIT = 1_000_000
@@ -25,11 +23,6 @@ HOURS_PER_DAY = 24
 
 #: Wrap point of a 32-bit byte counter, as exposed by many UPnP gateways.
 UINT32_WRAP = 2**32
-
-
-def kbps_to_mbps(kbps: float) -> float:
-    """Convert kilobits per second to megabits per second."""
-    return kbps * BITS_PER_KILOBIT / BITS_PER_MEGABIT
 
 
 def mbps_to_kbps(mbps: float) -> float:
@@ -47,33 +40,6 @@ def bytes_to_megabits(n_bytes: float) -> float:
     return n_bytes * BITS_PER_BYTE / BITS_PER_MEGABIT
 
 
-def rate_mbps(n_bytes: float, interval_s: float) -> float:
-    """Average rate, in Mbps, of ``n_bytes`` transferred over ``interval_s``.
-
-    Raises :class:`~repro.exceptions.UnitError` for non-positive intervals or
-    negative byte counts, which always indicate a caller bug.
-    """
-    if interval_s <= 0:
-        raise UnitError(f"interval must be positive, got {interval_s!r}")
-    if n_bytes < 0:
-        raise UnitError(f"byte count must be non-negative, got {n_bytes!r}")
-    return bytes_to_megabits(n_bytes) / interval_s
-
-
-def bytes_for_rate(mbps: float, interval_s: float) -> int:
-    """Number of whole bytes transferred at ``mbps`` over ``interval_s``."""
-    if interval_s < 0:
-        raise UnitError(f"interval must be non-negative, got {interval_s!r}")
-    if mbps < 0:
-        raise UnitError(f"rate must be non-negative, got {mbps!r}")
-    return int(mbps_to_bytes_per_sec(mbps) * interval_s)
-
-
 def fraction_to_percent(fraction: float) -> float:
     """Convert a fraction in [0, 1] to a percentage."""
     return fraction * 100.0
-
-
-def percent_to_fraction(percent: float) -> float:
-    """Convert a percentage to a fraction."""
-    return percent / 100.0

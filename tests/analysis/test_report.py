@@ -1,11 +1,7 @@
 """Text rendering of results."""
 
 from repro.analysis.common import binned_demand_curve
-from repro.analysis.report import (
-    format_curve,
-    format_experiment_row,
-    format_paper_vs_measured,
-)
+from repro.analysis.report import format_curve, format_experiment_row
 from repro.core.experiments import NaturalExperiment, PairedOutcome
 
 
@@ -41,17 +37,3 @@ class TestFormatCurve:
         text = format_curve("peak demand", curve)
         assert text.count("Mbps") >= len(curve.points)
         assert "r =" in text
-
-
-class TestFormatPaperVsMeasured:
-    def test_plain_values(self):
-        text = format_paper_vs_measured(
-            "title", [("median capacity", 7.4, 6.9)]
-        )
-        assert "7.400" in text and "6.900" in text
-
-    def test_percent_mode(self):
-        text = format_paper_vs_measured(
-            "title", [("share", 0.10, 0.14)], as_percent=True
-        )
-        assert "10.0%" in text and "14.0%" in text

@@ -1,12 +1,16 @@
-"""Dense reference for the matching core.
+"""Scalar and dense references for the matching core.
 
-The previous implementation of
+:func:`dense_greedy_index_pairs` is the previous implementation of
 :func:`repro.core.matching._greedy_index_pairs`, kept verbatim: it
 materializes the full ``(control, treatment, confounder)`` difference
 array in control-row chunks and tests every cell. The caliper-window
 core in ``src/`` must return the same ``(control, treatment, distance)``
 triples, bit for bit, and the same candidate count; the property suite
 in ``test_matching.py`` holds it to that.
+
+:func:`caliper_compatible` is the paper's caliper stated for one pair
+of plain floats, the reading of "within 25% of each other" that the
+vectorized log-space test must agree with.
 """
 
 from __future__ import annotations
@@ -15,7 +19,12 @@ import math
 
 import numpy as np
 
-from repro.core.matching import candidate_chunk_rows
+from repro.core.matching import (
+    DEFAULT_CALIPER,
+    ZERO_FLOOR,
+    candidate_chunk_rows,
+)
+from repro.exceptions import MatchingError
 
 
 def dense_greedy_index_pairs(
@@ -73,3 +82,34 @@ def dense_greedy_index_pairs(
         used_treatment[t] = True
         accepted.append((c, t, float(pair_distance[idx])))
     return accepted, int(ci.size)
+
+
+def caliper_compatible(a: float, b: float, caliper: float = DEFAULT_CALIPER) -> bool:
+    """Whether two confounder values are within ``caliper`` of each other.
+
+    "Within 25% of each other" is interpreted multiplicatively and
+    symmetrically: ``max(a, b) <= (1 + caliper) * min(a, b)``, after flooring
+    both values at :data:`ZERO_FLOOR` so that pairs of effectively-zero
+    values (e.g. two loss-free lines) are compatible.
+
+    Non-finite confounders are rejected with :class:`MatchingError`
+    rather than silently falling through the comparisons: a NaN here
+    means an upstream eligibility filter failed (missing market
+    covariates surface as NaN — see
+    :func:`repro.analysis.common._market_value` — and must be excluded
+    *before* matching), and an infinity is equally meaningless — two
+    ``inf`` values would satisfy ``inf <= 1.25 * inf`` and "match"
+    despite carrying no information about similarity.
+    """
+    if caliper <= 0:
+        raise MatchingError(f"caliper must be positive, got {caliper}")
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise MatchingError(
+            f"confounders must be finite, got {a}, {b} "
+            "(exclude users with missing covariates before matching)"
+        )
+    if a < 0 or b < 0:
+        raise MatchingError(f"confounders must be non-negative, got {a}, {b}")
+    lo = max(min(a, b), ZERO_FLOOR)
+    hi = max(max(a, b), ZERO_FLOOR)
+    return hi <= (1.0 + caliper) * lo

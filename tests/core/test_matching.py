@@ -10,43 +10,57 @@ from hypothesis import strategies as st
 from repro.core import matching
 from repro.exceptions import MatchingError
 
-from .matching_oracle import dense_greedy_index_pairs
+from .matching_oracle import caliper_compatible, dense_greedy_index_pairs
+
+
+def compatible(a, b, caliper=matching.DEFAULT_CALIPER):
+    """Whether the matcher pairs a one-unit control pool holding ``a``
+    with a one-unit treatment pool holding ``b``; the scalar oracle must
+    agree."""
+    summary = matching.match_pairs_arrays(
+        [np.array([a])], [np.array([b])], caliper
+    )
+    paired = summary.n_matched == 1
+    assert paired == caliper_compatible(a, b, caliper)
+    return paired
 
 
 class TestCaliperCompatible:
+    """The paper's caliper, as the matcher applies it to one pair."""
+
     def test_within_25_percent(self):
         # The paper's example: 50 ms and 62 ms are similar.
-        assert matching.caliper_compatible(50.0, 62.0)
+        assert compatible(50.0, 62.0)
 
     def test_beyond_25_percent(self):
-        assert not matching.caliper_compatible(50.0, 63.0)
+        assert not compatible(50.0, 63.0)
 
     def test_symmetric(self):
-        assert matching.caliper_compatible(62.0, 50.0)
+        assert compatible(62.0, 50.0)
 
     def test_equal_values(self):
-        assert matching.caliper_compatible(3.0, 3.0)
+        assert compatible(3.0, 3.0)
 
     def test_both_zero_compatible(self):
-        assert matching.caliper_compatible(0.0, 0.0)
+        assert compatible(0.0, 0.0)
 
     def test_zero_vs_large_incompatible(self):
-        assert not matching.caliper_compatible(0.0, 1.0)
+        assert not compatible(0.0, 1.0)
 
     def test_tiny_values_treated_as_zero(self):
-        assert matching.caliper_compatible(1e-9, 1e-8)
+        assert compatible(1e-9, 1e-8)
 
     def test_custom_caliper(self):
-        assert matching.caliper_compatible(10.0, 14.0, caliper=0.5)
-        assert not matching.caliper_compatible(10.0, 16.0, caliper=0.5)
+        assert compatible(10.0, 14.0, caliper=0.5)
+        assert not compatible(10.0, 16.0, caliper=0.5)
 
     def test_invalid_caliper_rejected(self):
         with pytest.raises(MatchingError):
-            matching.caliper_compatible(1.0, 1.0, caliper=0.0)
+            compatible(1.0, 1.0, caliper=0.0)
 
     def test_negative_value_rejected(self):
         with pytest.raises(MatchingError):
-            matching.caliper_compatible(-1.0, 1.0)
+            compatible(-1.0, 1.0)
 
     def test_nan_rejected(self):
         # NaN marks a missing covariate and must be excluded *before*
@@ -54,7 +68,7 @@ class TestCaliperCompatible:
         # every NaN pair "incompatible" without ever surfacing the bug.
         for a, b in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
             with pytest.raises(MatchingError):
-                matching.caliper_compatible(a, b)
+                compatible(a, b)
 
 
 class TestFloorConstants:
@@ -75,19 +89,19 @@ class TestFloorConstants:
         # Two loss-free lines floored at LOSS_MATCH_FLOOR are similar;
         # a floored line vs. 1% loss is not.
         floor = matching.LOSS_MATCH_FLOOR
-        assert matching.caliper_compatible(floor, floor)
-        assert matching.caliper_compatible(floor, floor * 1.25)
-        assert not matching.caliper_compatible(floor, floor * 1.26)
-        assert not matching.caliper_compatible(floor, 0.01)
+        assert compatible(floor, floor)
+        assert compatible(floor, floor * 1.25)
+        assert not compatible(floor, floor * 1.26)
+        assert not compatible(floor, 0.01)
 
     def test_caliper_behavior_at_zero_floor(self):
         # Values at or below ZERO_FLOOR collapse to "zero": mutually
         # compatible, incompatible with anything materially larger.
         floor = matching.ZERO_FLOOR
-        assert matching.caliper_compatible(floor, floor / 10.0)
-        assert matching.caliper_compatible(0.0, floor)
-        assert matching.caliper_compatible(floor, floor * 1.25)
-        assert not matching.caliper_compatible(floor, floor * 1.26)
+        assert compatible(floor, floor / 10.0)
+        assert compatible(0.0, floor)
+        assert compatible(floor, floor * 1.25)
+        assert not compatible(floor, floor * 1.26)
 
     def test_pinned_values(self):
         # Regression pin: changing either floor changes which users the
@@ -166,15 +180,7 @@ class TestMatchPairs:
         treatment = [{"v": float(i) * 1.2} for i in range(1, 50)]
         summary = matching.match_pairs(control, treatment, [by_value])
         for pair in summary.pairs:
-            assert matching.caliper_compatible(
-                pair.control["v"], pair.treatment["v"]
-            )
-
-    def test_match_rate(self):
-        control = [{"v": 1.0}, {"v": 100.0}]
-        treatment = [{"v": 1.0}]
-        summary = matching.match_pairs(control, treatment, [by_value])
-        assert summary.match_rate == 1.0
+            assert caliper_compatible(pair.control["v"], pair.treatment["v"])
 
     def test_no_confounders_rejected(self):
         with pytest.raises(MatchingError):
@@ -273,8 +279,8 @@ class TestNonFiniteConfounders:
     The original guard caught only NaN: two users whose extractor
     produced ``inf`` satisfied ``inf <= 1.25 * inf`` and were "matched"
     on a meaningless covariate. Every non-finite value now raises
-    :class:`MatchingError` from :func:`caliper_compatible` all the way
-    through :func:`match_pairs` / :func:`match_pairs_arrays`.
+    :class:`MatchingError` from :func:`match_pairs` /
+    :func:`match_pairs_arrays` (and from the scalar oracle).
     """
 
     NON_FINITE = (math.inf, -math.inf, math.nan)
@@ -282,14 +288,18 @@ class TestNonFiniteConfounders:
     def test_caliper_compatible_rejects_every_non_finite_pair(self):
         for bad in self.NON_FINITE:
             for a, b in ((bad, 1.0), (1.0, bad), (bad, bad)):
+                with pytest.raises(MatchingError, match="invalid value"):
+                    compatible(a, b)
                 with pytest.raises(MatchingError, match="finite"):
-                    matching.caliper_compatible(a, b)
+                    caliper_compatible(a, b)
 
     def test_two_infinities_never_compatible(self):
         # The exact regression: inf <= 1.25 * inf is True, so the
         # ratio test alone would call two infinite covariates similar.
+        with pytest.raises(MatchingError, match="invalid value"):
+            compatible(math.inf, math.inf)
         with pytest.raises(MatchingError, match="finite"):
-            matching.caliper_compatible(math.inf, math.inf)
+            caliper_compatible(math.inf, math.inf)
 
     def test_match_pairs_rejects_inf_confounder(self):
         for bad in self.NON_FINITE:
@@ -455,31 +465,69 @@ def _assert_matches_oracle(log_c, log_t, caliper, max_pairs=None):
     return window
 
 
+_POOL_STRATEGIES = dict(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    k=st.integers(min_value=1, max_value=5),
+    n_control=st.integers(min_value=0, max_value=80),
+    n_treatment=st.integers(min_value=0, max_value=80),
+    palette_size=st.integers(min_value=1, max_value=len(_PALETTE)),
+    caliper=st.sampled_from([0.1, 0.25, 0.5]),
+    max_pairs=st.none() | st.integers(min_value=0, max_value=90),
+)
+
+
+def _assert_random_pools_match_oracle(
+    seed, k, n_control, n_treatment, palette_size, caliper, max_pairs
+):
+    rng = np.random.default_rng(seed)
+    # A small palette per example makes duplicate rows and exact
+    # distance ties common.
+    palette = rng.choice(_PALETTE, size=palette_size, replace=False)
+    log_c = _log_matrix(rng.choice(palette, size=(n_control, k)))
+    log_t = _log_matrix(rng.choice(palette, size=(n_treatment, k)))
+    _assert_matches_oracle(log_c, log_t, caliper, max_pairs)
+
+
 class TestWindowCoreMatchesDenseOracle:
     """The window core returns the dense oracle's pairs, bit-identical
     distances and candidate count, on every pool."""
 
-    @given(
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-        k=st.integers(min_value=1, max_value=5),
-        n_control=st.integers(min_value=0, max_value=80),
-        n_treatment=st.integers(min_value=0, max_value=80),
-        palette_size=st.integers(min_value=1, max_value=len(_PALETTE)),
-        caliper=st.sampled_from([0.1, 0.25, 0.5]),
-        max_pairs=st.none() | st.integers(min_value=0, max_value=90),
-    )
+    @given(**_POOL_STRATEGIES)
     @settings(max_examples=200, deadline=None)
     def test_pairs_distances_and_candidates_identical(
         self, seed, k, n_control, n_treatment, palette_size, caliper,
         max_pairs,
     ):
-        rng = np.random.default_rng(seed)
-        # A small palette per example makes duplicate rows and exact
-        # distance ties common.
-        palette = rng.choice(_PALETTE, size=palette_size, replace=False)
-        log_c = _log_matrix(rng.choice(palette, size=(n_control, k)))
-        log_t = _log_matrix(rng.choice(palette, size=(n_treatment, k)))
-        _assert_matches_oracle(log_c, log_t, caliper, max_pairs)
+        _assert_random_pools_match_oracle(
+            seed, k, n_control, n_treatment, palette_size, caliper, max_pairs
+        )
+
+    @given(**_POOL_STRATEGIES)
+    @settings(max_examples=100, deadline=None)
+    def test_identical_when_accepting_in_slices_of_seven(
+        self, seed, k, n_control, n_treatment, palette_size, caliper,
+        max_pairs,
+    ):
+        # Many accept slices per call, and max_pairs stops inside one.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matching, "ACCEPT_SLICE", 7)
+            _assert_random_pools_match_oracle(
+                seed, k, n_control, n_treatment, palette_size, caliper,
+                max_pairs,
+            )
+
+    @pytest.mark.parametrize("max_pairs", [None, 0, 1, 6, 7, 8, 30, 60])
+    def test_slices_of_seven_stop_at_max_pairs(self, monkeypatch, max_pairs):
+        # 60 x 70 identical rows: 4,200 candidates in 600 slices, and
+        # every cap lands in a different place inside a slice.
+        monkeypatch.setattr(matching, "ACCEPT_SLICE", 7)
+        log_c = _log_matrix(np.full((60, 2), 3.0))
+        log_t = _log_matrix(np.full((70, 2), 3.0))
+        accepted, n_candidates = _assert_matches_oracle(
+            log_c, log_t, 0.25, max_pairs
+        )
+        assert n_candidates == 60 * 70
+        assert len(accepted) == (60 if max_pairs is None else max_pairs)
 
     @pytest.mark.parametrize("low,high", [(1.0, 1.25), (4.0, 5.0), (8.0, 10.0)])
     def test_ratio_of_exactly_one_and_a_quarter(self, low, high):

@@ -34,34 +34,3 @@ class TestDemandSummary:
     def test_negative_rejected(self):
         with pytest.raises(AnalysisError):
             metrics.demand_summary([1.0, -0.1])
-
-    def test_peak_demand_helper(self):
-        rates = np.arange(100.0)
-        assert metrics.peak_demand(rates) == pytest.approx(
-            np.percentile(rates, 95)
-        )
-
-
-class TestUtilization:
-    def test_basic(self):
-        assert metrics.utilization(5.0, 10.0) == 0.5
-
-    def test_clipped_at_one(self):
-        assert metrics.utilization(12.0, 10.0) == 1.0
-
-    def test_zero_demand(self):
-        assert metrics.utilization(0.0, 10.0) == 0.0
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(AnalysisError):
-            metrics.utilization(1.0, 0.0)
-
-    def test_negative_demand_rejected(self):
-        with pytest.raises(AnalysisError):
-            metrics.utilization(-1.0, 10.0)
-
-    def test_summary_utilization(self):
-        summary = metrics.demand_summary([1.0, 1.0, 3.0, 3.0])
-        util = summary.utilization(10.0)
-        assert util.mean == pytest.approx(0.2)
-        assert util.peak == pytest.approx(summary.peak_mbps / 10.0)

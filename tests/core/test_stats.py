@@ -11,29 +11,6 @@ from repro.core import stats
 from repro.exceptions import AnalysisError
 
 
-class TestLogBinomialPmf:
-    def test_matches_scipy(self):
-        for n, k, p in [(10, 3, 0.5), (100, 50, 0.5), (7, 0, 0.2), (7, 7, 0.9)]:
-            expected = scipy.stats.binom.logpmf(k, n, p)
-            assert stats.log_binomial_pmf(k, n, p) == pytest.approx(expected)
-
-    def test_degenerate_p_zero(self):
-        assert stats.log_binomial_pmf(0, 5, 0.0) == 0.0
-        assert stats.log_binomial_pmf(1, 5, 0.0) == -math.inf
-
-    def test_degenerate_p_one(self):
-        assert stats.log_binomial_pmf(5, 5, 1.0) == 0.0
-        assert stats.log_binomial_pmf(4, 5, 1.0) == -math.inf
-
-    def test_k_out_of_range_rejected(self):
-        with pytest.raises(AnalysisError):
-            stats.log_binomial_pmf(6, 5, 0.5)
-
-    def test_invalid_p_rejected(self):
-        with pytest.raises(AnalysisError):
-            stats.log_binomial_pmf(1, 5, 1.5)
-
-
 class TestBinomialSf:
     @pytest.mark.parametrize(
         "k,n,p",
@@ -221,35 +198,24 @@ class TestConfidenceInterval:
 
 
 class TestNormalQuantile:
-    def test_median(self):
-        assert stats.normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+    """The two-sided normal quantile behind every confidence level."""
 
     def test_known_quantiles(self):
-        # Reference values from scipy.stats.norm.ppf.
-        known = {
-            0.975: 1.959963984540054,
-            0.95: 1.6448536269514722,
-            0.995: 2.5758293035489004,
-            0.01: -2.3263478740408408,
-        }
-        for p, z in known.items():
-            assert stats.normal_quantile(p) == pytest.approx(z, rel=1e-13)
-
-    def test_symmetry(self):
-        for p in (0.001, 0.1, 0.3, 0.77, 0.999):
-            assert stats.normal_quantile(p) == pytest.approx(
-                -stats.normal_quantile(1.0 - p), rel=1e-12, abs=1e-12
+        for level in (0.5, 0.8, 0.9, 0.95, 0.98, 0.99, 0.999):
+            expected = scipy.stats.norm.ppf(0.5 + level / 2.0)
+            assert stats._z_for_level(level) == pytest.approx(
+                expected, rel=1e-13
             )
 
     def test_monotone(self):
-        grid = [0.001, 0.01, 0.2, 0.5, 0.8, 0.99, 0.999]
-        values = [stats.normal_quantile(p) for p in grid]
+        grid = [0.01, 0.2, 0.5, 0.8, 0.95, 0.99, 0.999]
+        values = [stats._z_for_level(level) for level in grid]
         assert values == sorted(values)
 
     def test_endpoints_rejected(self):
-        for p in (0.0, 1.0, -0.1, 1.1):
+        for level in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(AnalysisError):
-                stats.normal_quantile(p)
+                stats._z_for_level(level)
 
     def test_95_level_uses_exact_constant(self):
         # Golden-report byte-stability: the default level must keep
@@ -283,19 +249,6 @@ class TestPearson:
     def test_too_short_rejected(self):
         with pytest.raises(AnalysisError):
             stats.pearson_r([1], [2])
-
-
-class TestSpearman:
-    def test_monotone_nonlinear_is_one(self):
-        x = [1.0, 2.0, 3.0, 4.0]
-        y = [math.exp(v) for v in x]
-        assert stats.spearman_r(x, y) == pytest.approx(1.0)
-
-    def test_matches_scipy_with_ties(self):
-        x = [1.0, 2.0, 2.0, 3.0, 5.0]
-        y = [3.0, 1.0, 4.0, 4.0, 6.0]
-        expected = scipy.stats.spearmanr(x, y).statistic
-        assert stats.spearman_r(x, y) == pytest.approx(expected)
 
 
 class TestPercentileAndEcdf:

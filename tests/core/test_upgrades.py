@@ -1,4 +1,4 @@
-"""Service-switch detection."""
+"""Service periods and the slow/fast upgrade pairing."""
 
 import pytest
 
@@ -45,85 +45,6 @@ class TestServicePeriod:
     def test_network_id_str(self):
         net = upgrades.NetworkId("ISP", "1.2.3.0/24", "City")
         assert str(net) == "ISP/1.2.3.0/24/City"
-
-
-class TestServiceSwitch:
-    def test_upgrade_classification(self):
-        switch = upgrades.ServiceSwitch(
-            period(capacity=2.0), period(prefix="p2", start=3, end=5, capacity=4.0)
-        )
-        assert switch.is_upgrade
-        assert not switch.is_downgrade
-        assert switch.capacity_ratio == 2.0
-
-    def test_downgrade_classification(self):
-        switch = upgrades.ServiceSwitch(
-            period(capacity=4.0), period(prefix="p2", start=3, end=5, capacity=2.0)
-        )
-        assert switch.is_downgrade
-
-    def test_deltas_with_and_without_bt(self):
-        before = period(capacity=2.0, mean=0.1, peak=0.5)
-        after = period(prefix="p2", start=3, end=5, capacity=4.0, mean=0.3, peak=1.0)
-        switch = upgrades.ServiceSwitch(before, after)
-        assert switch.delta_mean() == pytest.approx(0.2)
-        assert switch.delta_peak() == pytest.approx(0.5)
-        assert switch.delta_mean(include_bt=False) == pytest.approx(0.16)
-        assert switch.delta_peak(include_bt=False) == pytest.approx(0.4)
-
-
-class TestDetectSwitches:
-    def test_detects_capacity_change(self):
-        periods = [
-            period(end=2.0),
-            period(prefix="p2", start=3.0, end=5.0, capacity=8.0),
-        ]
-        switches = upgrades.detect_switches(periods)
-        assert len(switches) == 1
-        assert switches[0].is_upgrade
-
-    def test_same_network_not_a_switch(self):
-        periods = [period(end=2.0), period(start=3.0, end=5.0, capacity=8.0)]
-        assert upgrades.detect_switches(periods) == []
-
-    def test_small_change_filtered(self):
-        periods = [
-            period(end=2.0, capacity=2.0),
-            period(prefix="p2", start=3.0, end=5.0, capacity=2.2),
-        ]
-        assert upgrades.detect_switches(periods) == []
-
-    def test_downgrade_detected(self):
-        periods = [
-            period(end=2.0, capacity=8.0),
-            period(prefix="p2", start=3.0, end=5.0, capacity=2.0),
-        ]
-        assert len(upgrades.detect_switches(periods)) == 1
-
-    def test_multiple_switches(self):
-        periods = [
-            period(end=1.0, capacity=1.0),
-            period(prefix="p2", start=2.0, end=3.0, capacity=2.0),
-            period(prefix="p3", start=4.0, end=5.0, capacity=8.0),
-        ]
-        assert len(upgrades.detect_switches(periods)) == 2
-
-    def test_mixed_users_rejected(self):
-        periods = [period(user="a", end=2.0), period(user="b", start=3.0, end=4.0)]
-        with pytest.raises(AnalysisError):
-            upgrades.detect_switches(periods)
-
-    def test_overlapping_periods_rejected(self):
-        periods = [
-            period(end=2.0),
-            period(prefix="p2", start=1.0, end=3.0, capacity=8.0),
-        ]
-        with pytest.raises(AnalysisError):
-            upgrades.detect_switches(periods)
-
-    def test_invalid_ratio_rejected(self):
-        with pytest.raises(AnalysisError):
-            upgrades.detect_switches([period()], min_capacity_ratio=1.0)
 
 
 class TestSlowFastObservation:

@@ -1,15 +1,22 @@
 """Affordability metrics."""
 
+import math
+
 import pytest
 
-from repro.exceptions import MarketError
-from repro.market.affordability import (
-    cost_of_access_as_income_share,
-    price_of_access_bin,
-    upgrade_cost_bin,
+from repro.core.binning import (
+    PRICE_OF_ACCESS_BINS_USD,
+    UPGRADE_COST_BINS_USD,
+    explicit_bins,
 )
+from repro.exceptions import MarketError
+from repro.market.affordability import cost_of_access_as_income_share
 from repro.market.currency import USD
 from repro.market.economy import DevelopmentLevel, Economy, Region
+
+#: The group and class lookups the Sec. 5 and Sec. 6 analyses run.
+price_of_access_bin = explicit_bins(PRICE_OF_ACCESS_BINS_USD).bin_of
+upgrade_cost_bin = explicit_bins(UPGRADE_COST_BINS_USD).bin_of
 
 
 class TestPriceOfAccessBin:
@@ -23,13 +30,12 @@ class TestPriceOfAccessBin:
         assert price_of_access_bin(40.0).low == 25.0
 
     def test_expensive_unbounded(self):
-        import math
-
         assert math.isinf(price_of_access_bin(150.0).high)
 
     def test_invalid(self):
-        with pytest.raises(MarketError):
-            price_of_access_bin(0.0)
+        # A non-positive price falls in no group.
+        assert price_of_access_bin(0.0) is None
+        assert price_of_access_bin(-5.0) is None
 
 
 class TestUpgradeCostBin:
@@ -44,8 +50,8 @@ class TestUpgradeCostBin:
         assert upgrade_cost_bin(55.0).low == 1.0
 
     def test_invalid(self):
-        with pytest.raises(MarketError):
-            upgrade_cost_bin(-1.0)
+        assert upgrade_cost_bin(-1.0) is None
+        assert upgrade_cost_bin(0.0) is None
 
 
 class TestIncomeShare:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MeasurementError
-from repro.measurement.netstat import NetstatCounter, deltas_from_netstat
+from repro.measurement.netstat import deltas_from_netstat
+
+from .counter_oracle import NetstatCounter
 
 
 class TestNetstatCounter:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.exceptions import MeasurementError
-from repro.measurement.upnp import UpnpCounter, deltas_from_readings
+from repro.measurement.upnp import deltas_from_readings
 from repro.units import UINT32_WRAP
+
+from .counter_oracle import UpnpCounter
 
 
 class TestUpnpCounter:

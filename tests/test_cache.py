@@ -1,4 +1,4 @@
-"""The on-disk world cache: keys, hits, invalidation, corruption."""
+"""The on-disk world cache: keys, hits, misses, corruption."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.analysis.paper_report import full_report
 from repro.cli import main
 from repro.datasets import WorldConfig, build_world
 from repro.datasets import cache as cache_module
@@ -113,12 +114,6 @@ class TestWorldCache:
         entry = cache.store(build_world(TINY))
         (entry / "survey.csv").unlink()
         assert cache.load(TINY) is None
-
-    def test_invalidate(self, cache):
-        cache.store(build_world(TINY))
-        assert cache.invalidate(TINY)
-        assert cache.load(TINY) is None
-        assert not cache.invalidate(TINY)
 
     def test_trace_worlds_bypass_cache(self, cache):
         config = dataclasses.replace(TINY, trace_user_fraction=0.5)
@@ -337,13 +332,17 @@ class TestColumnarShard:
         assert meta["users_csv_bytes"] == (entry / "users.csv").stat().st_size
 
     def test_corrupt_npy_falls_back_to_csv(self, cache):
-        world = build_world(TINY)
-        entry = cache.store(world)
+        entry = cache.store(build_world(TINY))
+        from_npy = cache.load(TINY)
         (entry / "users.npy").write_bytes(b"\x93NUMPY garbage")
-        cached = cache.load(TINY)
-        assert cached is not None
-        assert sorted(u.user_id for u in cached.all_users) == sorted(
-            u.user_id for u in world.all_users
+        from_csv = cache.load(TINY)
+        assert from_csv is not None
+        assert from_csv.dasu.n_users == from_npy.dasu.n_users
+        assert from_csv.fcc.n_users == from_npy.fcc.n_users
+        assert full_report(
+            from_csv.dasu.users, from_csv.fcc.users, from_csv.survey
+        ) == full_report(
+            from_npy.dasu.users, from_npy.fcc.users, from_npy.survey
         )
 
     def test_stale_manifest_falls_back_to_csv(self, cache):

@@ -8,9 +8,9 @@ import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.binning import capacity_class, capacity_class_bounds
+from repro.core.binning import capacity_class_bounds
 from repro.core.experiments import NaturalExperiment, PairedOutcome
-from repro.core.matching import caliper_compatible, match_pairs
+from repro.core.matching import match_pairs
 from repro.core.metrics import demand_summary
 from repro.core.regression import fit_price_capacity
 from repro.core.stats import (
@@ -21,7 +21,10 @@ from repro.core.stats import (
     pearson_r,
 )
 from repro.measurement.upnp import deltas_from_readings
-from repro.units import UINT32_WRAP, bytes_for_rate, rate_mbps
+from repro.units import UINT32_WRAP, bytes_to_megabits, mbps_to_bytes_per_sec
+
+from .core.binning_oracle import capacity_class
+from .core.matching_oracle import caliper_compatible
 
 # ---------------------------------------------------------------------------
 # Units
@@ -33,10 +36,11 @@ from repro.units import UINT32_WRAP, bytes_for_rate, rate_mbps
     interval=st.floats(min_value=1.0, max_value=3600.0),
 )
 def test_rate_round_trip(mbps, interval):
-    """bytes_for_rate and rate_mbps invert each other (up to the one
-    byte lost to integer truncation, i.e. 8e-6/interval Mbps)."""
-    n_bytes = bytes_for_rate(mbps, interval)
-    recovered = rate_mbps(n_bytes, interval)
+    """The rate-to-bytes and bytes-to-rate conversions the counters use
+    invert each other (up to the one byte lost to integer truncation,
+    i.e. 8e-6/interval Mbps)."""
+    n_bytes = int(mbps_to_bytes_per_sec(mbps) * interval)
+    recovered = bytes_to_megabits(n_bytes) / interval
     assert abs(recovered - mbps) <= 8.0e-6 / interval + 1e-9 * mbps
 
 

@@ -1,22 +1,13 @@
 """Unit conversions."""
 
-import math
-
 import pytest
 
 from repro import units
-from repro.exceptions import UnitError
 
 
 class TestRateConversions:
-    def test_kbps_to_mbps(self):
-        assert units.kbps_to_mbps(1000.0) == 1.0
-
     def test_mbps_to_kbps(self):
         assert units.mbps_to_kbps(1.0) == 1000.0
-
-    def test_kbps_mbps_round_trip(self):
-        assert units.kbps_to_mbps(units.mbps_to_kbps(7.4)) == pytest.approx(7.4)
 
     def test_mbps_to_bytes_per_sec(self):
         # 1 Mbps = 1e6 bits/s = 125000 bytes/s.
@@ -26,57 +17,9 @@ class TestRateConversions:
         assert units.bytes_to_megabits(125_000) == 1.0
 
 
-class TestRateMbps:
-    def test_basic_rate(self):
-        assert units.rate_mbps(125_000, 1.0) == pytest.approx(1.0)
-
-    def test_thirty_second_interval(self):
-        n_bytes = units.bytes_for_rate(2.0, 30.0)
-        assert units.rate_mbps(n_bytes, 30.0) == pytest.approx(2.0, rel=1e-6)
-
-    def test_zero_bytes_is_zero_rate(self):
-        assert units.rate_mbps(0, 30.0) == 0.0
-
-    def test_zero_interval_rejected(self):
-        with pytest.raises(UnitError):
-            units.rate_mbps(100, 0.0)
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(UnitError):
-            units.rate_mbps(100, -1.0)
-
-    def test_negative_bytes_rejected(self):
-        with pytest.raises(UnitError):
-            units.rate_mbps(-1, 30.0)
-
-
-class TestBytesForRate:
-    def test_whole_bytes(self):
-        assert units.bytes_for_rate(1.0, 1.0) == 125_000
-
-    def test_zero_rate(self):
-        assert units.bytes_for_rate(0.0, 30.0) == 0
-
-    def test_negative_rate_rejected(self):
-        with pytest.raises(UnitError):
-            units.bytes_for_rate(-1.0, 30.0)
-
-    def test_negative_interval_rejected(self):
-        with pytest.raises(UnitError):
-            units.bytes_for_rate(1.0, -30.0)
-
-
 class TestPercentConversions:
     def test_fraction_to_percent(self):
         assert units.fraction_to_percent(0.014) == pytest.approx(1.4)
-
-    def test_percent_to_fraction(self):
-        assert units.percent_to_fraction(1.4) == pytest.approx(0.014)
-
-    def test_round_trip(self):
-        assert units.percent_to_fraction(
-            units.fraction_to_percent(0.123)
-        ) == pytest.approx(0.123)
 
 
 class TestConstants:

@@ -7,7 +7,6 @@ from repro.traffic.diurnal import (
     EVENING_PEAK_HOUR,
     NIGHT_FLOOR,
     diurnal_weight,
-    mean_diurnal_weight,
 )
 
 
@@ -43,5 +42,6 @@ class TestDiurnalWeight:
         assert diurnal_weight(hours).shape == hours.shape
 
     def test_mean_weight_between_floor_and_one(self):
-        mean = mean_diurnal_weight()
+        hours = np.linspace(0.0, 24.0, 24 * 60, endpoint=False)
+        mean = float(np.mean(diurnal_weight(hours)))
         assert NIGHT_FLOOR < mean < 1.0
