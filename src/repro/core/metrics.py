@@ -8,6 +8,7 @@ FCC gateways): the **mean** and the **peak**, defined as the 95th percentile
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +39,10 @@ def demand_summary(rates_mbps: Sequence[float] | np.ndarray) -> DemandSummary:
     Raises :class:`~repro.exceptions.AnalysisError` on an empty series: a
     user with no samples has no demand estimate and must be excluded
     upstream, not silently zeroed.
+
+    The peak is ``np.percentile(rates, 95)`` to the last bit; it is
+    computed by :func:`_peak`, which replays numpy's linear method
+    without its per-call dispatch.
     """
     arr = np.asarray(rates_mbps, dtype=float)
     if arr.size == 0:
@@ -46,6 +51,34 @@ def demand_summary(rates_mbps: Sequence[float] | np.ndarray) -> DemandSummary:
         raise AnalysisError("negative throughput samples indicate a counter bug")
     return DemandSummary(
         mean_mbps=float(arr.mean()),
-        peak_mbps=percentile(arr, PEAK_PERCENTILE),
+        peak_mbps=_peak(arr),
         n_samples=int(arr.size),
     )
+
+
+def _peak(arr: np.ndarray) -> float:
+    """``np.percentile(arr, 95)``, without its per-call dispatch.
+
+    The builder takes this a few times per observed period, and numpy's
+    generic quantile machinery dominated its cost. This is numpy's own
+    "linear" method for one quantile of a 1-D array, step for step: the
+    same virtual index ``(n - 1) * 0.95``, the same two order statistics
+    from a partition, the same two-sided lerp (``b - (b - a) * (1 - t)``
+    from ``t >= 0.5`` on) and the same NaN rule, so the result is
+    bit-identical; a property test holds it to ``np.percentile``. A
+    one-sample series, where numpy clamps the index, goes to numpy.
+    """
+    n = arr.size
+    if n == 1:
+        return percentile(arr, PEAK_PERCENTILE)
+    virtual = (n - 1) * (PEAK_PERCENTILE / 100.0)
+    lo = math.floor(virtual)
+    part = np.partition(arr.reshape(-1), (lo, lo + 1, n - 1))
+    if math.isnan(part[n - 1]):
+        return float(part[n - 1])
+    a, b = float(part[lo]), float(part[lo + 1])
+    t = virtual - lo
+    diff = b - a
+    if t >= 0.5:
+        return b - diff * (1 - t)
+    return a + diff * t

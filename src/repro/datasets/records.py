@@ -41,6 +41,13 @@ def hourly_profile(
     ``min_samples_per_hour`` samples — a peak-hour-biased collector like
     Dasu genuinely has sparse overnight coverage), or ``None`` when fewer
     than half the hours are covered at all.
+
+    One stable sort groups the samples by hour instead of 24 boolean
+    masks. Each hour's slice of the sorted rates holds the same samples
+    in the same order as ``rates[buckets == hour]``, contiguous, so
+    ``np.add.reduce(slice) / count`` is the very pairwise sum and
+    division ``.mean()`` performs: the profile is bit-identical.
+    (``np.bincount(weights=...)`` would reassociate the sums.)
     """
     rates = np.asarray(rates_mbps, dtype=float)
     hrs = np.asarray(hours, dtype=float)
@@ -49,11 +56,15 @@ def hourly_profile(
     if rates.size == 0:
         return None
     buckets = np.floor(hrs).astype(int) % 24
+    order = np.argsort(buckets, kind="stable")
+    by_hour = rates[order]
+    counts = np.bincount(buckets, minlength=24).tolist()
     profile = np.full(24, np.nan)
-    for hour in range(24):
-        mask = buckets == hour
-        if int(mask.sum()) >= min_samples_per_hour:
-            profile[hour] = float(rates[mask].mean())
+    end = 0
+    for hour, count in enumerate(counts):
+        start, end = end, end + count
+        if count >= min_samples_per_hour:
+            profile[hour] = np.add.reduce(by_hour[start:end]) / count
     if int(np.sum(~np.isnan(profile))) < 12:
         return None
     return tuple(float(v) for v in profile)

@@ -123,20 +123,30 @@ class DasuClient:
         )
 
     def _counter_readings(self, byte_deltas: np.ndarray) -> np.ndarray:
-        """Simulated cumulative counter readings after each interval."""
+        """Simulated cumulative counter readings after each interval.
+
+        A reset at read ``r`` restarts the counter from zero, so every
+        reading ``j`` from the first reset on is the traffic since the
+        latest reset at or before it, ``cumulative[j] - cumulative[r]``;
+        readings before the first reset keep their start value. That is
+        integer arithmetic, so it is exact whatever the number of resets,
+        and one pass instead of one per reset.
+        """
         cumulative = np.cumsum(byte_deltas)
         n = cumulative.size
         if self.vantage is DasuVantage.DIRECT:
-            readings = cumulative.copy()
-            reboot = self._rng.random(n) < REBOOT_PROBABILITY_PER_READ
-            for idx in np.nonzero(reboot)[0]:
-                readings[idx:] -= readings[idx]
+            readings = cumulative
+            reset = self._rng.random(n) < REBOOT_PROBABILITY_PER_READ
+        else:
+            start = int(self._rng.integers(0, UINT32_WRAP))
+            readings = start + cumulative
+            reset = self._rng.random(n) < RESET_PROBABILITY_PER_READ
+        resets = np.flatnonzero(reset)
+        if resets.size:
+            latest = np.repeat(resets, np.diff(resets, append=n))
+            readings[resets[0]:] = cumulative[resets[0]:] - cumulative[latest]
+        if self.vantage is DasuVantage.DIRECT:
             return readings
-        start = int(self._rng.integers(0, UINT32_WRAP))
-        readings = start + cumulative
-        reset = self._rng.random(n) < RESET_PROBABILITY_PER_READ
-        for idx in np.nonzero(reset)[0]:
-            readings[idx:] -= readings[idx]
         return readings % UINT32_WRAP
 
     def collect(self, series: UsageSeries) -> SampledUsage:
@@ -198,11 +208,9 @@ class DasuClient:
         if up_rates is not None:
             up_rates = up_rates[valid]
 
-        hours = series.hours()
-        bt = series.bt_active
         return SampledUsage(
             rates_mbps=rates,
-            bt_active=bt[end_slots],
-            hours=hours[end_slots],
+            bt_active=series.bt_active[end_slots],
+            hours=series.hours(end_slots),
             up_rates_mbps=up_rates,
         )

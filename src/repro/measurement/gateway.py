@@ -28,13 +28,16 @@ class FccGateway:
         self._rng = rng
         self._record_loss_rate = loss_rate
 
-    def hourly_rates_with_hours(
+    def collect(
         self, series: UsageSeries
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(hourly mean rates, local hour of each record).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(hourly rates, local hour of each record, uplink rates or ``None``).
 
-        A small fraction of hourly records is lost in upload/processing
-        (as in the public FCC data releases).
+        One call per observed period. A small fraction of hourly records
+        is lost in upload/processing (as in the public FCC data
+        releases); the loss mask is drawn once and applies to both
+        directions, so the uplink records stay aligned with the
+        downlink ones.
         """
         samples_per_hour = int(round(SECONDS_PER_HOUR / series.interval_s))
         if samples_per_hour < 1:
@@ -44,46 +47,23 @@ class FccGateway:
         n_hours = series.n_samples // samples_per_hour
         if n_hours < 1:
             raise MeasurementError("series shorter than one hour")
-        trimmed = series.rates_mbps[: n_hours * samples_per_hour]
-        hourly = trimmed.reshape(n_hours, samples_per_hour).mean(axis=1)
+
+        def hourly_means(rates: np.ndarray) -> np.ndarray:
+            trimmed = rates[: n_hours * samples_per_hour]
+            return trimmed.reshape(n_hours, samples_per_hour).mean(axis=1)
+
         hours = (series.start_hour + 0.5 + np.arange(n_hours)) % 24.0
         kept = self._rng.random(n_hours) >= self._record_loss_rate
         if not np.any(kept):
             kept[0] = True
-        self._last_kept = kept
-        return hourly[kept], hours[kept]
-
-    def hourly_upload_rates(self, series: UsageSeries) -> np.ndarray | None:
-        """Hourly uplink means, aligned with the most recent
-        :meth:`hourly_rates_with_hours` call's record-loss mask."""
-        if series.up_rates_mbps is None:
-            return None
-        samples_per_hour = int(round(SECONDS_PER_HOUR / series.interval_s))
-        n_hours = series.n_samples // samples_per_hour
-        trimmed = series.up_rates_mbps[: n_hours * samples_per_hour]
-        hourly = trimmed.reshape(n_hours, samples_per_hour).mean(axis=1)
-        kept = getattr(self, "_last_kept", None)
-        if kept is None or kept.size != n_hours:
-            return hourly
-        return hourly[kept]
-
-    def collect(
-        self, series: UsageSeries
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(hourly rates, hours, aligned uplink rates or ``None``).
-
-        One call per observed period: downlink records first, then the
-        uplink aligned to the same record-loss mask — the exact draw
-        order the world builder has always used, so collection through
-        this wrapper is byte-identical to the two separate calls.
-        """
-        hourly, hours = self.hourly_rates_with_hours(series)
-        return hourly, hours, self.hourly_upload_rates(series)
+        up_hourly = None
+        if series.up_rates_mbps is not None:
+            up_hourly = hourly_means(series.up_rates_mbps)[kept]
+        return hourly_means(series.rates_mbps)[kept], hours[kept], up_hourly
 
     def hourly_rates(self, series: UsageSeries) -> np.ndarray:
         """Average WAN download rate per hour, in Mbps."""
-        rates, _ = self.hourly_rates_with_hours(series)
-        return rates
+        return self.collect(series)[0]
 
     def summary(self, series: UsageSeries) -> DemandSummary:
         """Mean/peak demand as estimated from the hourly records."""

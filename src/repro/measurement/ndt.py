@@ -25,6 +25,7 @@ import numpy as np
 
 from ..exceptions import MeasurementError
 from ..network.path import NetworkPath
+from ..network.technology import TECH_PROFILES
 from ..network.tcp import mathis_throughput_mbps
 from ..units import mbps_to_bytes_per_sec
 
@@ -114,45 +115,52 @@ class NdtClient:
         steals capacity and queues the test's packets (bufferbloat-style
         latency inflation).
         """
-        if cross_traffic_mbps < 0:
-            raise MeasurementError("cross traffic cannot be negative")
-        true_rtt = path.ndt_rtt_ms
-        jitter = float(np.exp(self._rng.normal(0.0, 0.08)))
-        queueing = 0.0
-        if cross_traffic_mbps > 0:
-            occupancy = min(
-                0.95, cross_traffic_mbps / max(path.link.download_mbps, 0.01)
-            )
-            queueing = 120.0 * occupancy**2
-        rtt = true_rtt * jitter + queueing
+        return self._campaign(path)(day, cross_traffic_mbps)
 
+    def _campaign(self, path: NetworkPath):
+        """A one-test runner with the path's constants read once.
+
+        The RTT, loss, line rates and PEP bound of a path are fixed over
+        a campaign, so :meth:`run_tests` reads them here once instead of
+        once per test; the draws of each test are unchanged.
+        """
+        true_rtt = path.ndt_rtt_ms
+        true_loss = path.loss_fraction
+        down_line = path.link.download_mbps
+        up_line = path.link.upload_mbps
         # Satellite services run performance-enhancing proxies that split
         # the TCP connection, so the throughput test does not pay the full
         # space-segment RTT (the reported latency still does).
-        from ..network.technology import TECH_PROFILES
-
         pep = TECH_PROFILES[path.link.technology].pep_rtt_ms
-        tcp_rtt = rtt if pep is None else min(rtt, pep)
 
-        down, down_loss = self._throughput(
-            path.link.download_mbps,
-            tcp_rtt,
-            path.loss_fraction,
-            cross_traffic_mbps,
-        )
-        up, _ = self._throughput(
-            path.link.upload_mbps,
-            tcp_rtt,
-            path.loss_fraction,
-            cross_traffic_mbps * 0.1,
-        )
-        return NdtResult(
-            day=day,
-            download_mbps=down,
-            upload_mbps=up,
-            rtt_ms=rtt,
-            loss_fraction=down_loss,
-        )
+        def run(day: float, cross_traffic_mbps: float) -> NdtResult:
+            if cross_traffic_mbps < 0:
+                raise MeasurementError("cross traffic cannot be negative")
+            jitter = float(np.exp(self._rng.normal(0.0, 0.08)))
+            queueing = 0.0
+            if cross_traffic_mbps > 0:
+                occupancy = min(
+                    0.95, cross_traffic_mbps / max(down_line, 0.01)
+                )
+                queueing = 120.0 * occupancy**2
+            rtt = true_rtt * jitter + queueing
+            tcp_rtt = rtt if pep is None else min(rtt, pep)
+
+            down, down_loss = self._throughput(
+                down_line, tcp_rtt, true_loss, cross_traffic_mbps
+            )
+            up, _ = self._throughput(
+                up_line, tcp_rtt, true_loss, cross_traffic_mbps * 0.1
+            )
+            return NdtResult(
+                day=day,
+                download_mbps=down,
+                upload_mbps=up,
+                rtt_ms=rtt,
+                loss_fraction=down_loss,
+            )
+
+        return run
 
     def run_tests(
         self,
@@ -169,8 +177,9 @@ class NdtClient:
         if hi <= lo:
             raise MeasurementError("empty test window")
         days = np.sort(self._rng.uniform(lo, hi, n_tests))
+        run_test = self._campaign(path)
         results = []
-        for day in days:
+        for day in days.tolist():
             cross = 0.0
             if (
                 typical_cross_traffic_mbps > 0
@@ -179,5 +188,5 @@ class NdtClient:
                 cross = typical_cross_traffic_mbps * float(
                     self._rng.uniform(0.3, 1.5)
                 )
-            results.append(self.run_test(path, float(day), cross))
+            results.append(run_test(day, cross))
         return results

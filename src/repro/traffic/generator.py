@@ -17,7 +17,7 @@ from ..exceptions import DatasetError
 from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from .bittorrent import draw_bt_sessions
 from .diurnal import diurnal_weight
-from .sessions import draw_on_intervals, intervals_to_mask
+from .sessions import draw_on_intervals
 
 __all__ = ["UsageSeries", "generate_usage_series"]
 
@@ -65,11 +65,15 @@ class UsageSeries:
     def duration_days(self) -> float:
         return self.n_samples * self.interval_s / SECONDS_PER_DAY
 
-    def hours(self) -> np.ndarray:
-        """Local hour of day of each sample's midpoint."""
-        offsets_h = (
-            (np.arange(self.n_samples) + 0.5) * self.interval_s / SECONDS_PER_HOUR
-        )
+    def hours(self, slots: np.ndarray | None = None) -> np.ndarray:
+        """Local hour of day of each sample's midpoint.
+
+        With ``slots``, only those samples' hours, computed element for
+        element the same way as the full series.
+        """
+        if slots is None:
+            slots = np.arange(self.n_samples)
+        offsets_h = (slots + 0.5) * self.interval_s / SECONDS_PER_HOUR
         return (self.start_hour + offsets_h) % 24.0
 
     def without_bt(self) -> np.ndarray:
@@ -93,6 +97,14 @@ def generate_usage_series(
     household's typical session rate. BitTorrent households additionally
     run saturating BT sessions. Everything is capped at the effective
     capacity of the path.
+
+    The foreground sessions draw their levels and wobbles as one
+    standard-normal batch rather than two ``rng.normal`` calls per
+    session. ``rng.normal(0, s, k)`` is ``0 + s * z`` over the next
+    ``k`` standard normals of the same stream, so laying the batch out
+    session by session, level then wobbles, reproduces every value and
+    leaves the generator in the same state: the series is bit-identical
+    to the per-session loop, which a property test keeps as its oracle.
     """
     if duration_days <= 0 or interval_s <= 0:
         raise DatasetError("duration and interval must be positive")
@@ -119,18 +131,31 @@ def generate_usage_series(
         intervals = intervals[kept]
 
     midpoints = (np.arange(n) + 0.5) * interval_s
-    typical_rate = demand.offered_peak_mbps * demand.rate_median_share
-    for t_start, t_end in intervals:
-        lo = int(np.searchsorted(midpoints, t_start, side="left"))
-        hi = int(np.searchsorted(midpoints, t_end, side="left"))
-        if hi <= lo:
-            continue
-        session_rate = typical_rate * float(
-            np.exp(rng.normal(0.0, demand.burstiness_sigma))
+    lo, hi = np.searchsorted(midpoints, intervals, side="left").T
+    drawn = hi > lo
+    lo, hi = lo[drawn], hi[drawn]
+    if lo.size:
+        # One standard-normal batch, consumed in the order the sessions
+        # always drew from the stream: each session's level, then its
+        # wobbles.
+        widths = hi - lo
+        z = rng.standard_normal(int(widths.sum()) + widths.size)
+        level_at = np.cumsum(widths + 1) - (widths + 1)
+        is_wobble = np.ones(z.size, dtype=bool)
+        is_wobble[level_at] = False
+        typical_rate = demand.offered_peak_mbps * demand.rate_median_share
+        session_rates = typical_rate * np.exp(
+            demand.burstiness_sigma * z[level_at]
         )
         # Within a session the rate wobbles around the session's level.
-        wobble = np.exp(rng.normal(0.0, 0.25, hi - lo))
-        rates[lo:hi] = np.maximum(rates[lo:hi], session_rate * wobble)
+        wobble = np.exp(0.25 * z[is_wobble])
+        # Sessions are disjoint in time, so their sample ranges never
+        # overlap and one fancy-indexed maximum equals a per-session one.
+        first_wobble = level_at - np.arange(widths.size)
+        slots = np.arange(wobble.size) + np.repeat(lo - first_wobble, widths)
+        rates[slots] = np.maximum(
+            rates[slots], np.repeat(session_rates, widths) * wobble
+        )
 
     # Uplink: requests/ACKs/uploads mirror the foreground downlink at the
     # household's upload share, with its own wobble.
@@ -141,11 +166,10 @@ def generate_usage_series(
     bt_active = np.zeros(n, dtype=bool)
     if demand.bt_user:
         schedule = draw_bt_sessions(duration_s, rng)
-        for (t_start, t_end), share in zip(
-            schedule.intervals, schedule.rate_shares
-        ):
-            lo = int(np.searchsorted(midpoints, t_start, side="left"))
-            hi = int(np.searchsorted(midpoints, t_end, side="left"))
+        bt_edges = np.searchsorted(
+            midpoints, schedule.intervals, side="left"
+        ).tolist()
+        for (lo, hi), share in zip(bt_edges, schedule.rate_shares):
             if hi <= lo:
                 continue
             bt_rate = share * demand.ceiling_mbps

@@ -62,15 +62,24 @@ def intervals_to_mask(
 
     Sample ``i`` covers ``[i * interval_s, (i+1) * interval_s)`` and is
     marked ``True`` when its midpoint falls inside any interval.
+
+    Every interval's ``[lo, hi)`` sample range comes from one
+    ``searchsorted`` over all edges, and the ranges are painted with a
+    difference array: +1 at each ``lo``, -1 at each ``hi``, and a sample
+    is covered when the running sum is positive. Empty ranges
+    (``hi <= lo``) are dropped first, exactly the ranges a slice
+    assignment would leave untouched, so the mask equals the
+    per-interval ``mask[lo:hi] = True`` loop for overlapping, empty and
+    off-grid intervals alike.
     """
     if n_samples <= 0 or interval_s <= 0:
         raise DatasetError("grid must have positive size and step")
-    mask = np.zeros(n_samples, dtype=bool)
     if intervals.size == 0:
-        return mask
+        return np.zeros(n_samples, dtype=bool)
     midpoints = (np.arange(n_samples) + 0.5) * interval_s
-    for start, end in intervals:
-        lo = int(np.searchsorted(midpoints, start, side="left"))
-        hi = int(np.searchsorted(midpoints, end, side="left"))
-        mask[lo:hi] = True
-    return mask
+    lo, hi = np.searchsorted(midpoints, intervals, side="left").T
+    painted = hi > lo
+    edges = np.bincount(lo[painted], minlength=n_samples + 1) - np.bincount(
+        hi[painted], minlength=n_samples + 1
+    )
+    return np.cumsum(edges[:n_samples]) > 0

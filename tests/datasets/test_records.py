@@ -1,10 +1,20 @@
 """Analysis-ready records."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.upgrades import NetworkId, ServicePeriod
-from repro.datasets.records import PeriodObservation, UserRecord, period_year
+from repro.datasets.records import (
+    PeriodObservation,
+    UserRecord,
+    hourly_profile,
+    period_year,
+)
 from repro.exceptions import DatasetError
+
+from .hourly_oracle import hourly_profile_masks
 
 
 def make_period(start=10.0, capacity=5.0, prefix="10.0.0.0/24"):
@@ -134,3 +144,40 @@ class TestUserRecord:
                 n_ndt_tests=1,
                 n_usage_samples=10,
             )
+
+
+@st.composite
+def _samples(draw):
+    """(rates, hours) over all 24 hours or only a handful of them."""
+    covered = draw(
+        st.one_of(
+            st.just(list(range(24))),
+            st.lists(st.integers(0, 23), min_size=1, max_size=14, unique=True),
+        )
+    )
+    n = draw(st.integers(0, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    buckets = rng.choice(covered, n)
+    # Whole days either side of the window still land in their bucket.
+    hours = buckets + rng.random(n) * 0.999 + 24.0 * rng.integers(-2, 3, n)
+    rates = rng.lognormal(0.0, 2.0, n)
+    if draw(st.booleans()):
+        rates = np.round(rates)  # ties
+    return rates, hours
+
+
+class TestHourlyProfileOracle:
+    """Sort-and-slice hour means equal the 24-mask loop, bit for bit."""
+
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(samples=_samples(), min_samples=st.integers(0, 3))
+    def test_matches_masks(self, samples, min_samples):
+        rates, hours = samples
+        expected = hourly_profile_masks(rates, hours, min_samples)
+        got = hourly_profile(rates, hours, min_samples)
+        if expected is None:
+            assert got is None
+        else:
+            assert np.array(got).tobytes() == np.array(expected).tobytes()

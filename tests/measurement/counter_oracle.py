@@ -8,6 +8,13 @@ it: a 32-bit UPnP WAN counter that wraps and occasionally resets, and a
 tests feed their readings to
 :func:`repro.measurement.upnp.deltas_from_readings` and
 :func:`repro.measurement.netstat.deltas_from_netstat`.
+
+:func:`counter_readings_loop` is the previous body of
+``_counter_readings``, kept verbatim apart from taking the vantage, the
+generator and the reset probability as arguments: it rewinds every later
+reading once per reset. The one-pass version in ``src/`` must return the
+same readings and leave the generator at the same state; the property
+suite in ``test_dasu.py`` holds it to that.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import MeasurementError
+from repro.measurement.dasu import DasuVantage
 from repro.measurement.netstat import REBOOT_PROBABILITY_PER_READ
 from repro.measurement.upnp import RESET_PROBABILITY_PER_READ
 from repro.units import UINT32_WRAP
@@ -71,3 +79,25 @@ class NetstatCounter:
         if self._rng.random() < self._reboot_probability:
             self._value = 0
         return self._value
+
+
+def counter_readings_loop(
+    vantage: DasuVantage,
+    rng: np.random.Generator,
+    byte_deltas: np.ndarray,
+    reset_probability_per_read: float,
+) -> np.ndarray:
+    cumulative = np.cumsum(byte_deltas)
+    n = cumulative.size
+    if vantage is DasuVantage.DIRECT:
+        readings = cumulative.copy()
+        reboot = rng.random(n) < reset_probability_per_read
+        for idx in np.nonzero(reboot)[0]:
+            readings[idx:] -= readings[idx]
+        return readings
+    start = int(rng.integers(0, UINT32_WRAP))
+    readings = start + cumulative
+    reset = rng.random(n) < reset_probability_per_read
+    for idx in np.nonzero(reset)[0]:
+        readings[idx:] -= readings[idx]
+    return readings % UINT32_WRAP

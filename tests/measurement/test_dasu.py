@@ -1,12 +1,19 @@
 """The Dasu client: biased sampling and counter handling."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.behavior.demand import DemandProcess
 from repro.exceptions import MeasurementError
+from repro.measurement import dasu
 from repro.measurement.dasu import DasuClient, DasuVantage, SampledUsage
 from repro.traffic.generator import generate_usage_series
+
+from .counter_oracle import counter_readings_loop
 
 
 def make_series(days=4.0, bt=True, seed=0, peak=2.0, ceiling=10.0):
@@ -101,3 +108,47 @@ class TestCollect:
                 bt_active=np.zeros(2, dtype=bool),
                 hours=np.zeros(3),
             )
+
+
+_RESET_CONSTANT = {
+    DasuVantage.DIRECT: "REBOOT_PROBABILITY_PER_READ",
+    DasuVantage.UPNP: "RESET_PROBABILITY_PER_READ",
+}
+
+
+class TestCounterReadingsOracle:
+    """The one-pass reset rewind equals the per-reset loop, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        vantage=st.sampled_from(list(DasuVantage)),
+        reset_probability=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+        byte_deltas=st.lists(
+            st.integers(0, 2**31), min_size=1, max_size=300
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_loop(self, vantage, reset_probability, byte_deltas, seed):
+        deltas = np.array(byte_deltas, dtype=np.int64)
+        oracle_rng = np.random.default_rng(seed)
+        expected = counter_readings_loop(
+            vantage, oracle_rng, deltas, reset_probability
+        )
+        client = DasuClient(vantage, np.random.default_rng(seed))
+        with mock.patch.object(
+            dasu, _RESET_CONSTANT[vantage], reset_probability
+        ):
+            got = client._counter_readings(deltas)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert client._rng.random() == oracle_rng.random()
+
+    def test_collect_hours_are_the_series_hours(self):
+        series = make_series()
+        sampled = DasuClient(
+            DasuVantage.UPNP, np.random.default_rng(5)
+        ).collect(series)
+        all_hours = series.hours()
+        assert set(sampled.hours.tolist()) <= set(all_hours.tolist())
+        slots = np.array([0, 7, series.n_samples - 1])
+        assert series.hours(slots).tobytes() == all_hours[slots].tobytes()

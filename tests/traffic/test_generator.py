@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.behavior.demand import DemandProcess
 from repro.exceptions import DatasetError
 from repro.traffic.generator import UsageSeries, generate_usage_series
+
+from .loop_oracle import generate_usage_series_loop
 
 
 def process(peak=2.0, ceiling=10.0, activity=0.55, bt=False):
@@ -120,3 +124,41 @@ class TestGenerateUsageSeries:
                 rates_mbps=np.zeros(10),
                 bt_active=np.zeros(5, dtype=bool),
             )
+
+
+class TestBatchedDrawsOracle:
+    """Batched session draws equal the per-session loop, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        peak=st.floats(0.05, 50.0),
+        activity=st.floats(0.0, 1.0),
+        sigma=st.floats(0.0, 2.0),
+        bt=st.booleans(),
+        days=st.sampled_from([0.02, 0.3, 1.0, 2.5]),
+        interval=st.sampled_from([30.0, 60.0, 900.0]),
+        start_hour=st.floats(0.0, 24.0, exclude_max=True),
+    )
+    def test_matches_loop(
+        self, seed, peak, activity, sigma, bt, days, interval, start_hour
+    ):
+        demand = DemandProcess(
+            offered_peak_mbps=peak,
+            ceiling_mbps=10.0,
+            activity_level=activity,
+            burstiness_sigma=sigma,
+            rate_median_share=0.35,
+            bt_user=bt,
+        )
+        assume(int(round(days * 86_400.0 / interval)) >= 10)
+        oracle_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        expected = generate_usage_series_loop(
+            demand, days, interval, oracle_rng, start_hour
+        )
+        got = generate_usage_series(demand, days, interval, rng, start_hour)
+        assert got.rates_mbps.tobytes() == expected.rates_mbps.tobytes()
+        assert got.up_rates_mbps.tobytes() == expected.up_rates_mbps.tobytes()
+        assert got.bt_active.tobytes() == expected.bt_active.tobytes()
+        assert rng.random() == oracle_rng.random()

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DatasetError
 from repro.traffic.sessions import draw_on_intervals, intervals_to_mask
+
+from .loop_oracle import intervals_to_mask_loop
 
 
 class TestDrawOnIntervals:
@@ -69,3 +73,25 @@ class TestIntervalsToMask:
     def test_invalid_grid(self):
         with pytest.raises(DatasetError):
             intervals_to_mask(np.empty((0, 2)), 0, 10.0)
+
+
+_EDGE = st.floats(-50.0, 150.0)
+
+
+class TestIntervalsToMaskOracle:
+    """The difference-array raster equals the per-interval loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(_EDGE, _EDGE), max_size=12),
+        zero_width=st.lists(_EDGE, max_size=3),
+        n_samples=st.integers(1, 12),
+    )
+    def test_matches_loop(self, pairs, zero_width, n_samples):
+        # Overlapping, reversed (empty), zero-width and off-grid intervals.
+        rows = list(pairs) + [(t, t) for t in zero_width]
+        intervals = np.array(rows, dtype=float).reshape(-1, 2)
+        expected = intervals_to_mask_loop(intervals, n_samples, 10.0)
+        got = intervals_to_mask(intervals, n_samples, 10.0)
+        assert got.dtype == expected.dtype == bool
+        assert got.tobytes() == expected.tobytes()

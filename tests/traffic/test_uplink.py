@@ -87,16 +87,27 @@ class TestUplinkCollection:
     def test_gateway_uplink_aligned_with_downlink_records(self):
         s = series(days=3.0, seed=4)
         gateway = FccGateway(np.random.default_rng(3), loss_rate=0.2)
-        down, hours = gateway.hourly_rates_with_hours(s)
-        up = gateway.hourly_upload_rates(s)
+        down, hours, up = gateway.collect(s)
         assert up is not None
-        assert up.shape == down.shape
+        assert up.shape == down.shape == hours.shape
+        # Both directions lose the same hourly records: with an uplink
+        # that mirrors the downlink, every kept record mirrors too.
+        mirrored = type(s)(
+            interval_s=s.interval_s,
+            start_hour=s.start_hour,
+            rates_mbps=s.rates_mbps,
+            bt_active=s.bt_active,
+            up_rates_mbps=s.rates_mbps / 2.0,
+        )
+        gateway = FccGateway(np.random.default_rng(3), loss_rate=0.2)
+        down, _, up = gateway.collect(mirrored)
+        assert down.size < s.n_samples // 120
+        np.testing.assert_allclose(up, down / 2.0, rtol=1e-12)
 
     def test_gateway_uplink_mean_preserved(self):
         s = series(days=3.0, seed=4)
         gateway = FccGateway(np.random.default_rng(3), loss_rate=0.0)
-        gateway.hourly_rates_with_hours(s)
-        up = gateway.hourly_upload_rates(s)
+        _, _, up = gateway.collect(s)
         assert up.mean() == pytest.approx(s.up_rates_mbps.mean(), rel=1e-9)
 
     def test_gateway_uplink_none_without_series_uplink(self):
@@ -109,4 +120,6 @@ class TestUplinkCollection:
             up_rates_mbps=None,
         )
         gateway = FccGateway(np.random.default_rng(0))
-        assert gateway.hourly_upload_rates(stripped) is None
+        down, hours, up = gateway.collect(stripped)
+        assert up is None
+        assert down.shape == hours.shape
