@@ -42,12 +42,12 @@ def hourly_profile(
     Dasu genuinely has sparse overnight coverage), or ``None`` when fewer
     than half the hours are covered at all.
 
-    One stable sort groups the samples by hour instead of 24 boolean
-    masks. Each hour's slice of the sorted rates holds the same samples
-    in the same order as ``rates[buckets == hour]``, contiguous, so
-    ``np.add.reduce(slice) / count`` is the very pairwise sum and
-    division ``.mean()`` performs: the profile is bit-identical.
-    (``np.bincount(weights=...)`` would reassociate the sums.)
+    One stable sort groups the samples by hour. Each hour's slice of the
+    sorted rates holds the same samples in the same order as
+    ``rates[buckets == hour]``, contiguous, so ``np.add.reduce(slice) /
+    count`` is the very pairwise sum and division ``.mean()`` performs
+    on the masked samples: the profile is bit-identical to 24 masked
+    means. (``np.bincount(weights=...)`` would reassociate the sums.)
     """
     rates = np.asarray(rates_mbps, dtype=float)
     hrs = np.asarray(hours, dtype=float)

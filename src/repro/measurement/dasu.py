@@ -129,8 +129,7 @@ class DasuClient:
         reading ``j`` from the first reset on is the traffic since the
         latest reset at or before it, ``cumulative[j] - cumulative[r]``;
         readings before the first reset keep their start value. That is
-        integer arithmetic, so it is exact whatever the number of resets,
-        and one pass instead of one per reset.
+        integer arithmetic, so it is exact whatever the number of resets.
         """
         cumulative = np.cumsum(byte_deltas)
         n = cumulative.size
@@ -143,8 +142,12 @@ class DasuClient:
             reset = self._rng.random(n) < RESET_PROBABILITY_PER_READ
         resets = np.flatnonzero(reset)
         if resets.size:
-            latest = np.repeat(resets, np.diff(resets, append=n))
-            readings[resets[0]:] = cumulative[resets[0]:] - cumulative[latest]
+            # Each reset's cumulative count holds until the next reset.
+            held_until = np.append(resets[1:], n)
+            at_latest_reset = np.repeat(
+                cumulative[resets], held_until - resets
+            )
+            readings[resets[0]:] = cumulative[resets[0]:] - at_latest_reset
         if self.vantage is DasuVantage.DIRECT:
             return readings
         return readings % UINT32_WRAP

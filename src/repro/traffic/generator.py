@@ -99,12 +99,12 @@ def generate_usage_series(
     capacity of the path.
 
     The foreground sessions draw their levels and wobbles as one
-    standard-normal batch rather than two ``rng.normal`` calls per
-    session. ``rng.normal(0, s, k)`` is ``0 + s * z`` over the next
-    ``k`` standard normals of the same stream, so laying the batch out
-    session by session, level then wobbles, reproduces every value and
-    leaves the generator in the same state: the series is bit-identical
-    to the per-session loop, which a property test keeps as its oracle.
+    standard-normal batch. ``rng.normal(0, s, k)`` is ``0 + s * z`` over
+    the next ``k`` standard normals of the same stream, so a batch laid
+    out session by session, level then wobbles, yields every value two
+    ``rng.normal`` calls per session would and leaves the generator in
+    the same state: the series is bit-identical to the per-session loop
+    that a property test keeps as its oracle.
     """
     if duration_days <= 0 or interval_s <= 0:
         raise DatasetError("duration and interval must be positive")
